@@ -14,25 +14,33 @@ bracket machinery on the flipped flags, memoizing each deleted-index bracket
 on the flip bits it actually reads; it exists as the differential-testing
 oracle for the factorized mode.
 
-sul is the barycentric-sign cocycle: all n+1 Cramer signs agree and are
-nonzero exactly when the origin lies in the open interior of the simplex
-spanned by the arguments.  smi is its average over the 2^(n+1) sign flips of
-the arguments, which makes it projective with sup-norm 2^(-n).
+pcoc, sul and smi all read the Cramer signs s_i = (-1)^i ori(x minus i) of
+the tuple, computed once by linalg.cramer_signs from n+1 determinants.
+pcoc is (-1)^(n/2) times their product.  sul is the barycentric-sign
+cocycle: all n+1 Cramer signs agree and are nonzero exactly when the origin
+lies in the open interior of the simplex spanned by the arguments, and sul
+is then that common sign.  smi is the average of sul over the 2^(n+1) sign
+flips of the arguments, which makes it projective with sup-norm 2^(-n).
+Flipping argument j multiplies every s_i with i != j by -1, so when no s_i
+vanishes exactly one antipodal pair of flips makes all signs agree, both
+with value prod s_i; hence smi = prod s_i / 2^n in closed form, nonzero
+iff the tuple is hereditarily spanning, and pcoc = (-1)^(n/2) 2^n smi.  The
+literal 2^(n+1)-flip average is kept as an oracle in verify.smi_enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .linalg import (
     InputError,
+    cramer_signs,
     det,
     det_sign_int,
     e0,
-    hereditarily_spanning,
     is_zero_vec,
     mat,
     ori,
@@ -82,15 +90,11 @@ def _check_flags(Fs):
 
 
 def pcoc(vs) -> Fraction:
-    """Product of the n+1 deleted-index orientations; 0 iff not hereditarily
-    spanning, and descends to projective points."""
+    """Product of the n+1 deleted-index orientations, (-1)^(n/2) times the
+    product of the Cramer signs; 0 iff not hereditarily spanning, and
+    descends to projective points."""
     vs, n = _check_points(vs)
-    val = 1
-    for i in range(n + 1):
-        val *= ori(_deleted(vs, i))
-        if val == 0:
-            return Fraction(0)
-    return Fraction(val)
+    return Fraction((-1) ** (n // 2) * math.prod(cramer_signs(vs)))
 
 
 def coco(Fs) -> Fraction:
@@ -107,34 +111,20 @@ def sul(vs) -> Fraction:
     """+-1 when 0 is interior to the open simplex spanned by the arguments
     (all Cramer signs (-1)^i ori(deleted i) equal and nonzero), else 0.
     Total: zero vectors are fine and simply give 0."""
-    vs, n = _check_points(vs, allow_zero=True)
-    first = 0
-    for i in range(n + 1):
-        s = ori(_deleted(vs, i))
-        if i % 2:
-            s = -s
-        if s == 0:
-            return Fraction(0)
-        if first == 0:
-            first = s
-        elif s != first:
-            return Fraction(0)
-    return Fraction(first)
+    vs, _ = _check_points(vs, allow_zero=True)
+    signs = cramer_signs(vs)
+    if signs[0] and all(s == signs[0] for s in signs):
+        return Fraction(signs[0])
+    return Fraction(0)
 
 
 def smi(vs) -> Fraction:
-    """Average of sul over all 2^(n+1) argument sign flips."""
+    """Average of sul over all 2^(n+1) argument sign flips, in closed form:
+    the product of the Cramer signs over 2^n.  Nonzero iff hereditarily
+    spanning, since the n+1 deleted-index determinants are exactly the
+    n-subsets of the tuple."""
     vs, n = _check_points(vs)
-    total = 0
-    nonzero = 0
-    for signs in itertools.product((1, -1), repeat=n + 1):
-        s = sul(tuple(tuple(sg * x for x in v) for sg, v in zip(signs, vs)))
-        if s:
-            nonzero += 1
-            total += s
-    # exactly one antipodal pair of sign patterns sees the origin inside
-    assert nonzero == (2 if hereditarily_spanning(vs, n) else 0)
-    return Fraction(total, 2 ** (n + 1))
+    return Fraction(math.prod(cramer_signs(vs)), 2 ** n)
 
 
 def coboundary(f, xs) -> Fraction:

@@ -174,26 +174,6 @@ def flag_equal_unoriented(F: OrientedFlag, G: OrientedFlag) -> bool:
     return all(_rref(F.basis[:i]) == _rref(G.basis[:i]) for i in range(1, F.n + 1))
 
 
-def flag_key(F: OrientedFlag):
-    """Canonical key: equal keys iff equal as ORIENTED flags.
-
-    Level i is encoded by the residual of w_i after eliminating the RREF of
-    F^{i-1} (the unique coset representative vanishing at earlier pivots),
-    made primitive by a positive scalar so the half-space sign survives.
-    """
-    key = []
-    for i in range(F.n):
-        r = list(F.basis[i])
-        if i:
-            for q in _rref(F.basis[:i]):
-                p = _pivot(q)
-                if r[p]:
-                    f = r[p]
-                    r = [x - f * y for x, y in zip(r, q)]
-        key.append(primitive_int_vec(r))
-    return tuple(key)
-
-
 def flagstaff(F: OrientedFlag):
     """The line F^1 as a canonical projective point."""
     return projective_normalize(F.basis[0])

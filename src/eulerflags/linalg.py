@@ -173,6 +173,28 @@ def ori(vs) -> int:
     return det_sign_int([list(int_vec(v)) for v in vs])
 
 
+def cramer_signs(vs) -> tuple[int, ...]:
+    """Cramer signs s_i = (-1)^i ori(vs minus i) of n+1 vectors in dimension n.
+
+    Each vector's denominators are cleared once and shared by all n+1
+    deleted-index determinants.
+
+    >>> cramer_signs(((1, 1), (1, 0), (0, 1)))
+    (1, -1, -1)
+    """
+    ints = [int_vec(v) for v in vs]
+    k = len(ints)
+    for v in ints:
+        if len(v) != k - 1:
+            raise InputError(f"cramer_signs needs {k} vectors of dimension {k - 1}, "
+                             f"got one of dimension {len(v)}")
+    signs = []
+    for i in range(k):
+        s = det_sign_int(ints[:i] + ints[i + 1:])
+        signs.append(-s if i % 2 else s)
+    return tuple(signs)
+
+
 def sig(g) -> int:
     """Sign of det(g) for nonsingular g."""
     s = det_sign_int([list(int_vec(r)) for r in mat(g)])

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .flags import OrientedFlag, make_flag
-from .linalg import hereditarily_spanning, is_zero_vec, ori, sig
+from .linalg import InputError, hereditarily_spanning, is_zero_vec, ori, sig
 
 
 class RationalSampler:
@@ -42,7 +42,7 @@ class RationalSampler:
             try:
                 if sig(g):
                     return g
-            except Exception:
+            except InputError:
                 continue
 
     def glp_matrix(self, n: int):

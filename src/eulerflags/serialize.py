@@ -1,11 +1,13 @@
 """JSON schemas for the CLI.
 
-Rationals travel as strings "p/q" or "p"; vectors as arrays of those.
+Rationals travel as strings "p/q" or "p", or as JSON integers; vectors as
+arrays of those.  JSON floats are not rationals: parse_rational rejects them
+with InputError("not a rational: ..."), bundle transitions included.
 Point tuples:   { "n": int, "points": [[rational, ...], ...] }
 Flag tuples:    { "n": int, "flags": [[[rational, ...], ...], ...] }
 Bundles:        { "n", "vertices", "simplices": [{"v": [...], "c": int}],
                   "transitions": [{"i", "j", "g": [[...], ...]}],
-                  "section": [[...], ...] }
+                  "section": [[...], ...], "tol": rational (optional) }
 Matrix tuples:  { "n": int, "gs": [[[number, ...], ...], ...] }  (floats ok)
 """
 

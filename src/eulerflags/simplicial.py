@@ -20,13 +20,13 @@ from fractions import Fraction
 from .cocycles import smi
 from .linalg import (
     InputError,
+    cramer_signs,
     identity,
     is_zero_vec,
     mat,
     mat_inv,
     mat_mul,
     mat_vec,
-    ori,
     require_even,
     sig,
     vec,
@@ -41,18 +41,14 @@ class NonGenericSection(InputError):
 def sul_classify(vs):
     """(value, generic): the sul value plus an exact genericity certificate.
 
-    Cramer signs s_i = (-1)^i ori(deleted i).  All nonzero: generic, value
-    +-1 when they agree (origin interior) and 0 when they do not (origin
-    outside).  Zeros among the signs put the origin on a span of fewer
-    vectors: still certified outside when the remaining signs disagree
-    (the kernel direction has mixed signs, so no convex combination hits 0),
-    otherwise non-generic.
+    Cramer signs s_i = (-1)^i ori(deleted i), from linalg.cramer_signs.
+    All nonzero: generic, value +-1 when they agree (origin interior) and 0
+    when they do not (origin outside).  Zeros among the signs put the origin
+    on a span of fewer vectors: still certified outside when the remaining
+    signs disagree (the kernel direction has mixed signs, so no convex
+    combination hits 0), otherwise non-generic.
     """
-    n = len(vs[0])
-    signs = []
-    for i in range(len(vs)):
-        s = ori(vs[:i] + vs[i + 1:])
-        signs.append(-s if i % 2 else s)
+    signs = cramer_signs(vs)
     nonzero = [s for s in signs if s]
     if len(nonzero) == len(signs):
         same = all(s == nonzero[0] for s in nonzero)

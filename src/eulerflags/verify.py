@@ -10,12 +10,13 @@ pinned to one dimension below).
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 
 from .cocycles import coboundary, coc, coco, pcoc, smi, sul
 from .flags import bracket, flagstaff, realize_points
-from .linalg import InputError, hereditarily_spanning, ori, sig
+from .linalg import InputError, hereditarily_spanning, ori, sig, vec
 from .randgen import RationalSampler
 from .serialize import dump_flags, dump_points, fmt_matrix, fmt_rational
 from .simplicial import euler_number, gauge_transform, with_section
@@ -42,6 +43,41 @@ def _dim(trial: int) -> int:
 def _fail(failures, trial, n, input_doc, detail):
     failures.append({"trial": trial, "n": n, "input": input_doc,
                      "detail": detail})
+
+
+# Oracles: the cochains as their definitions state them, each deleted-index
+# orientation from its own ori call, so that the closed forms in cocycles
+# (which share one linalg.cramer_signs call) are checked against an
+# independent computation.
+
+def sul_by_ori(vs) -> Fraction:
+    """sul from its definition: +-1 when every (-1)^i ori(vs minus i) has
+    that same sign, else 0."""
+    vs = tuple(vec(v) for v in vs)
+    signs = [(-1) ** i * ori(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
+    if signs[0] and all(s == signs[0] for s in signs):
+        return Fraction(signs[0])
+    return Fraction(0)
+
+
+def smi_enumerated(vs) -> Fraction:
+    """smi from its definition: the average of sul over all 2^(n+1) sign
+    flips of the arguments.  Exactly one antipodal pair of flips sees the
+    origin inside when the tuple is hereditarily spanning, none otherwise;
+    a breach raises AssertionError."""
+    vs = tuple(vec(v) for v in vs)
+    n = len(vs) - 1
+    total = 0
+    nonzero = 0
+    for signs in itertools.product((1, -1), repeat=n + 1):
+        s = sul_by_ori(tuple(tuple(sg * x for x in v)
+                             for sg, v in zip(signs, vs)))
+        if s:
+            nonzero += 1
+            total += s
+    if nonzero != (2 if hereditarily_spanning(vs, n) else 0):
+        raise AssertionError(f"{nonzero} flip patterns see the origin inside")
+    return Fraction(total, 2 ** (n + 1))
 
 
 # per-suite runners: (seed, trials) -> list of failure records
@@ -163,11 +199,18 @@ def _run_smillie(seed, trials):
     for t in range(trials):
         s, n = _child(seed, t), _dim(t)
         vs = s.tuple_with_degeneracies(n, n + 1)
-        lhs, rhs = pcoc(vs), (-1) ** (n // 2) * 2 ** n * smi(vs)
+        # the enumerated smi: against the closed form the relation would
+        # hold by construction
+        want = smi_enumerated(vs)
+        lhs, rhs = pcoc(vs), (-1) ** (n // 2) * 2 ** n * want
         if lhs != rhs:
             _fail(failures, t, n, dump_points(n, vs),
                   f"pcoc = {fmt_rational(lhs)} but "
                   f"(-1)^(n/2) 2^n smi = {fmt_rational(rhs)}")
+        if smi(vs) != want:
+            _fail(failures, t, n, dump_points(n, vs),
+                  f"smi = {fmt_rational(smi(vs))} but the 2^(n+1)-flip "
+                  f"average is {fmt_rational(want)}")
     return failures
 
 

@@ -23,6 +23,7 @@ from eulerflags.simplicial import (FlatBundleComplex, NonGenericSection,
                                    with_section)
 from eulerflags.surfaces import (fuchsian_octagon_rep, genus_surface_bundle,
                                  rational_flat_rep)
+from eulerflags.verify import smi_enumerated
 
 F = Fraction
 
@@ -74,10 +75,14 @@ def test_criterion_3_proportionality():
             vs = s.tuple_with_degeneracies(n, n + 1)
             if not hereditarily_spanning(vs, n):
                 degenerate += 1
-            assert pcoc(vs) == (-1) ** (n // 2) * 2 ** n * smi(vs)
+            # smi as the literal average of sul over the 2^(n+1) flips
+            want = smi_enumerated(vs)
+            assert pcoc(vs) == (-1) ** (n // 2) * 2 ** n * want
+            assert smi(vs) == want
         assert degenerate > trials // 4  # planted cases really appear
     _report(3, "pcoc = (-1)^(n/2) 2^n smi exactly on 700 (n=2) + 300 (n=4) "
-               "tuples incl. planted degeneracies")
+               "tuples incl. planted degeneracies, smi enumerated over all "
+               "2^(n+1) sign flips")
 
 
 def test_criterion_4_supnorm_constants():

@@ -72,6 +72,15 @@ def test_euler_subcommand(tmp_path, capsys):
     assert len(doc["per_simplex"]) == 72
 
 
+def test_euler_rejects_float_transition(tmp_path, capsys):
+    doc = dump_bundle(genus_surface_bundle(rational_flat_rep(), seed=1))
+    doc["transitions"][0]["g"][0][0] = 1.0
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["euler", str(p)]) == 1
+    assert capsys.readouterr().err.strip() == "error: not a rational: 1.0"
+
+
 def test_realize_round_trip(tmp_path, capsys, monkeypatch):
     rc, out = _run(capsys, ["realize", "-"], stdin_doc=FLAGS4,
                    monkeypatch=monkeypatch)

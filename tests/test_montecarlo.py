@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from eulerflags import montecarlo
 from eulerflags.linalg import InputError
-from eulerflags.montecarlo import itu_estimate
+from eulerflags.montecarlo import CHUNK, itu_estimate
 
 I2 = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -75,3 +77,56 @@ def test_input_errors():
         itu_estimate([I2] * 3, samples=10, mode="simpson")
     with pytest.raises(InputError):
         itu_estimate([[[1.0, 0.0, 0.0]] * 2] * 3, samples=10)
+
+
+def _projective_by_flips(w, n):
+    """The projective integrand from its definition: average sul over all
+    2^(n+1) sign flips; flipping argument j scales det_i by sigma_j for
+    every i != j."""
+    dets, _ = montecarlo._deleted_dets(w)
+    base = np.sign(dets) * np.array([(-1.0) ** i for i in range(n + 1)])
+    total = np.zeros(len(w))
+    for bits in range(1 << (n + 1)):
+        sigma = np.array([-1.0 if (bits >> j) & 1 else 1.0 for j in range(n + 1)])
+        factor = np.prod(sigma) / sigma  # prod_{j != i} sigma_j per deleted i
+        s = base * factor
+        inside = (s == s[:, :1]).all(axis=1) & (s[:, 0] != 0)
+        total += np.where(inside, s[:, 0], 0.0)
+    return total / float(1 << (n + 1))
+
+
+def _random_gs(n, seed):
+    rng = random.Random(seed)
+    while True:
+        gs = np.array([[[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]
+                       for _ in range(n + 1)])
+        if np.all(np.abs(np.linalg.det(gs)) > 0.2):
+            return gs
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_projective_integrand_matches_flip_loop(n):
+    gs = _random_gs(n, 31 + n)
+    v = montecarlo._draw(montecarlo._rng(5, 0), CHUNK, n, "projective")
+    w = np.einsum("iab,sib->sia", gs, v)
+    got, ambiguous = montecarlo._integrand(w, "projective", n)
+    want = _projective_by_flips(w, n)
+    keep = ~ambiguous
+    assert keep.sum() > CHUNK * 0.99
+    assert got[keep].tobytes() == want[keep].tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_projective_estimate_matches_flip_loop(n, monkeypatch):
+    gs = _random_gs(n, 41 + n)
+    est = itu_estimate(gs, samples=CHUNK + 1000, seed=3, mode="projective")
+    integrand = montecarlo._integrand
+
+    def by_flips(w, mode, n):
+        _, ambiguous = integrand(w, mode, n)
+        return _projective_by_flips(w, n), ambiguous
+
+    monkeypatch.setattr(montecarlo, "_integrand", by_flips)
+    ref = itu_estimate(gs, samples=CHUNK + 1000, seed=3, mode="projective")
+    assert (est.mean, est.stderr, est.resampled) \
+        == (ref.mean, ref.stderr, ref.resampled)
