@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .linalg import InputError
+from .linalg import InputError, PropertyViolation
 
 
 def _as_float_matrix(m):
@@ -43,7 +43,8 @@ def _lift_from(m, phi):
     cp, sp = math.cos(-phi), math.sin(-phi)
     p11, p12 = cp * a - sp * c, cp * b - sp * d
     p21, p22 = sp * a + cp * c, sp * b + cp * d
-    assert p11 + p22 > 0, "polar part is not positive definite"
+    if not p11 + p22 > 0:
+        raise PropertyViolation("polar part is not positive definite")
 
     def L(t: float) -> float:
         x, y = math.cos(t), math.sin(t)
@@ -120,7 +121,7 @@ def euler_number_oracle(rep, tol: float = 1e-6) -> int:
     total = word_lift(word, 0.0)
     e = total / (2 * math.pi)
     if abs(e - round(e)) > tol:
-        raise AssertionError(f"rotation number {e} is not close to an integer")
+        raise PropertyViolation(f"rotation number {e} is not close to an integer")
     # Sign convention: the circle of directions is oriented so that this
     # oracle pairs with the counterclockwise fundamental chain used by the
     # simplicial pipeline (one global calibration, fixed on a hyperbolic

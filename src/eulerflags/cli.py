@@ -7,7 +7,7 @@ realize (points realizing a flag tuple).  Exact values travel as rational
 strings; everything else is JSON on stdout.
 
 Exit codes: 0 success, 1 bad input (parse, arity, validation), 2 property
-violation — an assertion tripped or a verify suite found a counterexample.
+violation — an invariant check failed or a verify suite found a counterexample.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from .cocycles import (coboundary, coc, coco, coboundary_kill_witness,
                        obstruction_witness, pcoc, smi, sul)
 from .flags import realize_points
-from .linalg import InputError
+from .linalg import InputError, PropertyViolation
 from .montecarlo import itu_estimate
 from .serialize import (dump_points, fmt_matrix, fmt_rational, load_bundle,
                         load_flags, load_gs, load_json, load_points)
@@ -63,8 +63,8 @@ def _cmd_eval(args):
 def _cmd_witness(args):
     if args.kind == "obstruction":
         pts, value = obstruction_witness(args.n)
-        assert (value == 0) == (args.n == 2), \
-            "obstruction dichotomy violated"
+        if (value == 0) != (args.n == 2):
+            raise PropertyViolation("obstruction dichotomy violated")
         _emit({"kind": "obstruction", "n": args.n,
                "points": [[fmt_rational(x) for x in p] for p in pts],
                "value": fmt_rational(value)})

@@ -37,6 +37,7 @@ import numpy as np
 
 from .linalg import (
     InputError,
+    PropertyViolation,
     cramer_signs,
     det,
     det_sign_int,
@@ -103,7 +104,8 @@ def coco(Fs) -> Fraction:
     val = 1
     for i in range(n + 1):
         val *= ori(bracket_selections(_deleted(Fs, i))[0].basis)
-    assert val in (-1, 1)
+    if val not in (-1, 1):
+        raise PropertyViolation(f"coco took the value {val}")
     return Fraction(val)
 
 
@@ -153,7 +155,8 @@ def _coc_factorized(Fs, n) -> Fraction:
             mult[key] = mult.get(key, 0) + 1
     if any(m % 2 for m in mult.values()):
         return Fraction(0)
-    assert val in (-1, 1)
+    if val not in (-1, 1):
+        raise PropertyViolation(f"coc took the value {val}")
     return Fraction(val)
 
 
@@ -171,7 +174,7 @@ def _flipped_bracket_sign(bases, pattern, n) -> int:
                 span = span.extended(signed)
                 break
         else:
-            raise AssertionError("a complete flag always extends a proper subspace")
+            raise PropertyViolation("a complete flag always extends a proper subspace")
     return det_sign_int(chosen)
 
 
@@ -250,8 +253,9 @@ def coboundary_kill_witness(n: int):
         mats.append(mat(g))  # g_i: [[-1, 2], [0, 1]] block at rows i-1, i
 
     for i, g in enumerate(mats):
-        assert det(g) == -1
+        if det(g) != -1:
+            raise PropertyViolation(f"witness matrix g_{i} has det {det(g)}")
         for j, F in enumerate(flags):
-            if j != i:
-                assert flag_equal_unoriented(F.apply(g), F)
+            if j != i and not flag_equal_unoriented(F.apply(g), F):
+                raise PropertyViolation(f"g_{i} moves flag {j}")
     return flags, tuple(mats)

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .linalg import (
     InputError,
+    PropertyViolation,
     det,
     int_vec,
     is_zero_vec,
@@ -144,34 +145,20 @@ def flip(F: OrientedFlag, i: int) -> OrientedFlag:
                               for j, v in enumerate(F.basis)))
 
 
-def _rref(vectors):
-    """Reduced row echelon form over Q; canonical for the span."""
-    out = []  # [(pivot, row)] with unit pivots, reduced above and below
-    for v in vectors:
-        r = list(vec(v))
-        for p, q in out:
-            if r[p]:
-                f = r[p]
-                r = [x - f * y for x, y in zip(r, q)]
-        p = _pivot(r)
-        if p < 0:
-            raise InputError("dependent vectors where independent ones were expected")
-        piv = r[p]
-        r = [x / piv for x in r]
-        for idx, (pj, qj) in enumerate(out):
-            if qj[p]:
-                f = qj[p]
-                out[idx] = (pj, [x - f * y for x, y in zip(qj, r)])
-        out.append((p, r))
-    out.sort()
-    return tuple(tuple(r) for _, r in out)
-
-
 def flag_equal_unoriented(F: OrientedFlag, G: OrientedFlag) -> bool:
-    """True iff span(w_1..w_i) = span(w'_1..w'_i) for every level i."""
+    """True iff span(w_1..w_i) = span(w'_1..w'_i) for every level i.
+
+    Walks both flags up one span: if the first i-1 spans agree and w'_i lies
+    in span(w_1..w_i), the i-th spans agree too, having equal dimension.
+    """
     if F.n != G.n:
         raise InputError("flags of different dimension")
-    return all(_rref(F.basis[:i]) == _rref(G.basis[:i]) for i in range(1, F.n + 1))
+    span = _IntSpan()
+    for f, g in zip(F.ints, G.ints):
+        span = span.extended(f)
+        if not span.contains_int(g):
+            return False
+    return True
 
 
 def flagstaff(F: OrientedFlag):
@@ -214,7 +201,8 @@ def bracket_selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:
         basis.append(F.basis[d])
         span = span.extended(F.ints[d])
     W = OrientedSubspace(tuple(basis), _span=span)
-    assert W.dim == len(Fs)
+    if W.dim != len(Fs):
+        raise PropertyViolation("bracket dimension differs from the flag count")
     return W, tuple(levels)
 
 
@@ -230,7 +218,8 @@ def bracket(Fs) -> OrientedSubspace:
 def _cofactor_functional(basis):
     # x |-> det(rows: basis..., x) as a coefficient vector; basis has n-1 rows
     n = len(basis[0])
-    assert len(basis) == n - 1
+    if len(basis) != n - 1:
+        raise PropertyViolation("cofactor functional needs n - 1 basis vectors")
     coeffs = []
     for c in range(n):
         minor = [[row[k] for k in range(n) if k != c] for row in basis]
@@ -253,7 +242,7 @@ def realize_points(Fs):
     small enough to never re-cross a hyperplane once left.  Each constraint
     sign is therefore decided at the level where its hyperplane is first
     left, and equals the bracket-extension orientation.  The quadratic-pair
-    postcondition is asserted before returning.
+    postcondition is checked before returning (PropertyViolation).
     """
     Fs = tuple(Fs)
     if not Fs:
@@ -271,13 +260,16 @@ def realize_points(Fs):
             pointpart = [pts[b] for b in range(k + 1, n + 2) if b not in (i, j)]
             vbasis = (tuple(bracket(flagpart).basis) if flagpart else ()) + tuple(pointpart)
             V = OrientedSubspace(vbasis)
-            assert V.dim == n - 1
+            if V.dim != n - 1:
+                raise PropertyViolation("constraint subspace is not a hyperplane")
             ext = bracket_step(V, Fs[k])
             target = ori(ext.basis)
-            assert target != 0
+            if target == 0:
+                raise PropertyViolation("bracket extension is degenerate")
             coeffs = _cofactor_functional(vbasis)
             s = _ell(coeffs, ext.basis[-1])
-            assert ((s > 0) - (s < 0)) == target  # same ordered-basis convention
+            if ((s > 0) - (s < 0)) != target:  # same ordered-basis convention
+                raise PropertyViolation("cofactor functional disagrees with ori")
             constraints.append((coeffs, target))
 
         y = tuple(Fraction(0) for _ in range(n))
@@ -290,11 +282,13 @@ def realize_points(Fs):
             y = tuple(a + delta * b for a, b in zip(y, wd))
         for coeffs, target in constraints:
             s = _ell(coeffs, y)
-            assert ((s > 0) - (s < 0)) == target
+            if ((s > 0) - (s < 0)) != target:
+                raise PropertyViolation(f"point x_{k} is on the wrong side of a constraint")
         pts[k] = y
 
     out = tuple(pts[a] for a in range(n + 2))
     for i, j in itertools.combinations(range(n + 2), 2):
         kept = [a for a in range(n + 2) if a not in (i, j)]
-        assert ori([out[a] for a in kept]) == ori(bracket([Fs[a] for a in kept]).basis)
+        if ori([out[a] for a in kept]) != ori(bracket([Fs[a] for a in kept]).basis):
+            raise PropertyViolation(f"deleted pair ({i}, {j}) orientation mismatch")
     return out

@@ -1,9 +1,11 @@
 """Exact rational linear algebra for orientation computations.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples acting on
-column vectors.  Every predicate here is decided exactly: determinant signs
-go through integer fraction-free (Bareiss) elimination after clearing
-denominators per vector, so no tolerance ever enters.
+column vectors.  Everything here is decided exactly, with no tolerance:
+determinants, inverses and Cramer solves all go through one integer
+fraction-free (Bareiss) kernel after clearing denominators per row or
+vector, and spans go through the incremental integer echelon
+flags._IntSpan.
 
 >>> ori(((1, 0), (0, 1)))
 1
@@ -26,6 +28,10 @@ class InputError(ValueError):
 
 class OddDimensionError(InputError):
     """The constructions only exist for even ambient dimension."""
+
+
+class PropertyViolation(AssertionError):
+    """A library invariant failed; raised explicitly so it survives -O."""
 
 
 def require_even(n: int) -> int:
@@ -99,8 +105,8 @@ def projective_normalize(v) -> tuple[int, ...]:
     return iv
 
 
-def det_sign_int(rows: list[list[int]]) -> int:
-    """Sign of the determinant of a square integer matrix, in {-1, 0, 1}.
+def _det_int(rows) -> int:
+    """Exact determinant of a square integer matrix.
 
     Bareiss fraction-free elimination; all intermediates are exact ints.
     """
@@ -128,35 +134,34 @@ def det_sign_int(rows: list[list[int]]) -> int:
                 ai[c] = (pj * ai[c] - f * aj[c]) // prev
             ai[j] = 0
         prev = pj
-    last = a[k - 1][k - 1]
-    if last == 0:
-        return 0
-    return sign if last > 0 else -sign
+    return sign * a[k - 1][k - 1]
+
+
+def det_sign_int(rows: list[list[int]]) -> int:
+    """Sign of the determinant of a square integer matrix, in {-1, 0, 1}."""
+    d = _det_int(rows)
+    return (d > 0) - (d < 0)
+
+
+def _cleared(m):
+    """Per-row denominator lcms of a square matrix and its integer rows."""
+    m = mat(m)
+    k = len(m)
+    if any(len(r) != k for r in m):
+        raise InputError("expected a square matrix")
+    lcms = [math.lcm(*(x.denominator for x in r)) for r in m]
+    return lcms, [[x.numerator * (d // x.denominator) for x in r]
+                  for d, r in zip(lcms, m)]
 
 
 def det(m) -> Fraction:
-    """Exact determinant (fraction Gauss elimination, row matrix)."""
-    k = len(m)
-    if any(len(r) != k for r in m):
-        raise InputError("determinant needs a square matrix")
-    a = [list(r) for r in m]
-    d = Fraction(1)
-    for j in range(k):
-        p = j
-        while p < k and a[p][j] == 0:
-            p += 1
-        if p == k:
-            return Fraction(0)
-        if p != j:
-            a[j], a[p] = a[p], a[j]
-            d = -d
-        d *= a[j][j]
-        inv = 1 / a[j][j]
-        for i in range(j + 1, k):
-            f = a[i][j] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-    return d
+    """Exact determinant of a square row matrix.
+
+    >>> det(((2, 1), (1, 3)))
+    Fraction(5, 1)
+    """
+    lcms, rows = _cleared(m)
+    return Fraction(_det_int(rows), math.prod(lcms))
 
 
 def ori(vs) -> int:
@@ -222,33 +227,23 @@ def identity(n):
 
 
 def mat_inv(m):
-    k = len(m)
-    if any(len(r) != k for r in m):
-        raise InputError("inverse needs a square matrix")
-    a = [list(r) + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(mat(m))]
-    for j in range(k):
-        p = j
-        while p < k and a[p][j] == 0:
-            p += 1
-        if p == k:
-            raise InputError("singular matrix has no inverse")
-        a[j], a[p] = a[p], a[j]
-        piv = a[j][j]
-        a[j] = [x / piv for x in a[j]]
-        for i in range(k):
-            if i != j and a[i][j]:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-    return tuple(tuple(r[k:]) for r in a)
+    """Exact inverse: the integer adjugate of the cleared rows over their
+    determinant, each column j rescaled by row j's denominator lcm.
 
-
-def solve_columns(cols, rhs) -> tuple[Fraction, ...]:
-    """Solve sum_i c_i * cols[i] = rhs exactly; InputError if singular."""
-    k = len(cols)
-    if any(len(c) != k for c in cols) or len(rhs) != k:
-        raise InputError("solve needs k independent columns of dimension k")
-    m = tuple(zip(*cols))  # rows of the column matrix
-    return mat_vec(mat_inv(m), vec(rhs))
+    >>> mat_inv(((2, 1), (1, 1)))
+    ((Fraction(1, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(2, 1)))
+    """
+    lcms, rows = _cleared(m)
+    d = _det_int(rows)
+    if d == 0:
+        raise InputError("singular matrix has no inverse")
+    k = len(rows)
+    # minors[i][j] deletes row j and column i: the adjugate is transposed
+    minors = [[_det_int([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+               for j in range(k)] for i in range(k)]
+    return tuple(tuple(Fraction(-c * l if (i + j) % 2 else c * l, d)
+                       for j, (c, l) in enumerate(zip(minors[i], lcms)))
+                 for i in range(k))
 
 
 def hereditarily_spanning(xs, n: int | None = None) -> bool:
@@ -278,10 +273,11 @@ def frame_transform(xs):
     require_even(n)
     if len(xs) != n + 1:
         raise InputError(f"frame_transform needs n+1={n + 1} vectors")
-    try:
-        cs = solve_columns(xs[1:], xs[0])
-    except InputError:
-        raise InputError("not hereditarily spanning: x_1..x_n do not span") from None
+    d = det(xs[1:])
+    if d == 0:
+        raise InputError("not hereditarily spanning: x_1..x_n do not span")
+    # Cramer's rule for sum_i c_i x_i = x_0, rows standing in for columns
+    cs = [det(xs[1:i] + (xs[0],) + xs[i + 1:]) / d for i in range(1, n + 1)]
     if any(c == 0 for c in cs):
         raise InputError("not hereditarily spanning: x_0 has a zero coefficient over x_1..x_n")
     m = tuple(zip(*[tuple(c * x for x in col) for c, col in zip(cs, xs[1:])]))

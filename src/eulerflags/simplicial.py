@@ -20,6 +20,7 @@ from fractions import Fraction
 from .cocycles import smi
 from .linalg import (
     InputError,
+    PropertyViolation,
     cramer_signs,
     identity,
     is_zero_vec,
@@ -197,9 +198,9 @@ def _simplex_value(bundle: FlatBundleComplex, verts, mode: str) -> Fraction:
             raise NonGenericSection(
                 f"section cannot be certified at tolerance {bundle.tol} on "
                 f"simplex {verts}: per-base values disagree")
-        raise AssertionError("base-vertex independence failed")
-    if mode == "smillie":
-        assert abs(vals[0]) <= Fraction(1, 2 ** bundle.n)
+        raise PropertyViolation("base-vertex independence failed")
+    if mode == "smillie" and abs(vals[0]) > Fraction(1, 2 ** bundle.n):
+        raise PropertyViolation(f"smi value {vals[0]} exceeds 2^-n")
     return vals[0]
 
 
@@ -223,7 +224,8 @@ def euler_number(bundle: FlatBundleComplex, mode: str = "smillie"):
         total += c * v
     if chain_boundary(bundle.simplices):
         return total, None, per_simplex
-    assert total.denominator == 1, f"non-integral total {total} on a closed chain"
+    if total.denominator != 1:
+        raise PropertyViolation(f"non-integral total {total} on a closed chain")
     return total, int(total), per_simplex
 
 

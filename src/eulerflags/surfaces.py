@@ -32,7 +32,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import InputError, identity, mat_inv, mat_mul
+from .linalg import InputError, PropertyViolation, det, identity, mat_inv, mat_mul
 from .randgen import RationalSampler
 from .simplicial import FlatBundleComplex
 
@@ -89,18 +89,19 @@ def _corner_walk(g):
         corner = (_partner(corner) + 1) % N
         word = _wreduce(word + _winv(mu))
         if corner != 0:
-            assert corner not in deltas, "corner cycle split unexpectedly"
+            if corner in deltas:
+                raise PropertyViolation("corner cycle split unexpectedly")
             deltas[corner] = word
-    assert corner == 0 and len(deltas) == N
+    if corner != 0 or len(deltas) != N:
+        raise PropertyViolation("corner walk does not close after 4g sides")
     return deltas, word
 
 
 def _to_matrix(m):
-    rows = tuple(tuple(Fraction(x) if isinstance(x, float) else Fraction(x)
-                       for x in row) for row in m)
+    rows = tuple(tuple(Fraction(x) for x in row) for row in m)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise InputError("surface representations take 2x2 matrices")
-    if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] <= 0:
+    if det(rows) <= 0:
         raise InputError("representation matrices need positive determinant")
     return rows
 
@@ -176,9 +177,10 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
             transitions[(ci, cj)] = m
             return
         sc = max([Fraction(1)] + [abs(x) for row in old for x in row])
-        assert all(abs(a - b) <= tol * sc
-                   for ra, rb in zip(old, m) for a, b in zip(ra, rb)), \
-            f"inconsistent transition for vertex pair ({ci}, {cj})"
+        if any(abs(a - b) > tol * sc
+               for ra, rb in zip(old, m) for a, b in zip(ra, rb)):
+            raise PropertyViolation(
+                f"inconsistent transition for vertex pair ({ci}, {cj})")
 
     # triangles, all counterclockwise: fan (center, ring, ring), band
     # (ring, boundary, boundary), band (ring, boundary, ring)
@@ -192,7 +194,8 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
                     ((ring(j), []), (boundary_class(j1), delta[j1]),
                      (ring(j1), []))):
             classes = tuple(c for c, _ in tri)
-            assert len(set(classes)) == 3
+            if len(set(classes)) != 3:
+                raise PropertyViolation(f"degenerate triangle {classes}")
             rhos = [rho(d) for _, d in tri]
             for (ci, ri), (cj, rj) in itertools.permutations(
                     zip(classes, rhos), 2):
@@ -235,8 +238,8 @@ def fuchsian_octagon_rep():
 
     def cinv(m):
         (a, b), (c, d) = m
-        det = a * d - b * c
-        return ((d / det, -b / det), (-c / det, a / det))
+        dt = a * d - b * c
+        return ((d / dt, -b / dt), (-c / dt, a / dt))
 
     def capply(m, z):
         return (m[0][0] * z + m[0][1]) / (m[1][0] * z + m[1][1])
@@ -255,14 +258,10 @@ def fuchsian_octagon_rep():
         h = cmul(cinv(K), cmul(h, K))
         s = cmath.sqrt(h[0][0] * h[1][1] - h[0][1] * h[1][0])
         h = tuple(tuple(x / s for x in row) for row in h)
-        assert max(abs(x.imag) for row in h for x in row) < 1e-9
+        if not max(abs(x.imag) for row in h for x in row) < 1e-9:
+            raise PropertyViolation("side pairing is not real")
         return tuple(tuple(x.real for x in row) for row in h)
-
-    def finv(m):
-        (a, b), (c, d) = m
-        det = a * d - b * c
-        return ((d / det, -b / det), (-c / det, a / det))
 
     # letter assignment making [A1,B1][A2,B2] = Id: a-letters are the
     # inverse pairing maps (same calibration as the fixture's exponents)
-    return (finv(pair_map(0)), pair_map(1), finv(pair_map(4)), pair_map(5))
+    return (cinv(pair_map(0)), pair_map(1), cinv(pair_map(4)), pair_map(5))

@@ -1,9 +1,13 @@
 """CLI behavior: subcommand outputs, schemas on stdin/files, exit codes."""
 
+import ast
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import eulerflags
 import eulerflags.cli as cli
 from eulerflags.serialize import dump_bundle
 from eulerflags.surfaces import genus_surface_bundle, rational_flat_rep
@@ -121,6 +125,28 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "obstruction_witness", lambda n: ((), 7))
     assert cli.main(["witness", "obstruction", "--n", "2"]) == 2
     capsys.readouterr()
+
+
+def test_exit_codes_under_optimize():
+    # python -O strips assert statements; invariants must still exit 2
+    src = str(Path(eulerflags.__file__).parents[1])
+    code = ("import sys, eulerflags.cli as cli\n"
+            "cli.obstruction_witness = lambda n: ((), 7)\n"
+            "sys.exit(cli.main(['witness', 'obstruction', '--n', '2']))\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 2, r.stderr
+    assert "property violation: obstruction dichotomy violated" in r.stderr
+
+
+def test_no_assert_statements_in_library():
+    pkg = Path(eulerflags.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pkg.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_module_entry_point(tmp_path):

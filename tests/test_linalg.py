@@ -1,10 +1,12 @@
 """Exact kernels: ori, sig, spanning tests, projective form, frame moves."""
 
+import doctest
 from fractions import Fraction
 
 import pytest
 
-from eulerflags.linalg import (InputError, OddDimensionError, e0,
+from eulerflags import linalg
+from eulerflags.linalg import (InputError, OddDimensionError, det, e0,
                                frame_transform, hereditarily_spanning,
                                mat_vec, ori, projective_normalize,
                                require_even, sig, standard_basis)
@@ -49,6 +51,18 @@ def test_ori_alternating_and_equivariant(n):
         scaled = list(vs)
         scaled[i] = tuple(lam * x for x in vs[i])
         assert ori(scaled) == (1 if lam > 0 else -1) * ori(vs)
+
+
+def test_det_exact_on_integer_input():
+    d = det([[-5, 9, -7], [-1, -6, 6], [5, 6, 3]])
+    assert d == Fraction(399) and isinstance(d, Fraction)
+    d = det(((2, 1), (1, 3)))
+    assert d == 5 and isinstance(d, Fraction)
+
+
+def test_linalg_doctests():
+    res = doctest.testmod(linalg)
+    assert res.failed == 0 and res.attempted >= 8
 
 
 def test_hereditarily_spanning_pinned():
