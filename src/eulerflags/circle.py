@@ -109,7 +109,6 @@ def euler_number_oracle(rep, tol: float = 1e-6) -> int:
     for m, inv in word:
         (e, f), (g, h) = ((float(x) for x in r) for r in m)
         if inv:
-            det = e * h - f * g
             e, f, g, h = h, -f, -g, e  # adjugate: positive multiple of inverse
         (a, b), (c, d) = prod
         prod = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))

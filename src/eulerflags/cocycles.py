@@ -9,10 +9,12 @@ rescales it by -1, which changes no span), so each flip bit enters the
 average as a +-1 power equal to the number of deleted-index brackets that
 selected that (flag, level); the average collapses to coco on the base
 orientations when every selection multiplicity is even and to 0 otherwise.
-The naive mode literally enumerates every flip combination and re-runs the
-bracket machinery on the flipped flags, memoizing each deleted-index bracket
-on the flip bits it actually reads; it exists as the differential-testing
-oracle for the factorized mode.
+The naive mode re-runs the bracket machinery on flipped flags without that
+argument: for each deleted index it fills a full table of the bracket's
+orientation sign over all 2^(n*n) flip patterns of the n flags it brackets
+(65,536 brackets per index at n = 4), then averages the product of the n+1
+tables over all 2^(n(n+1)) flip combinations; it exists as the
+differential-testing oracle for the factorized mode.
 
 pcoc, sul and smi all read the Cramer signs s_i = (-1)^i ori(x minus i) of
 the tuple, computed once by linalg.cramer_signs from n+1 determinants.

@@ -23,7 +23,6 @@ from .linalg import (
     InputError,
     PropertyViolation,
     det,
-    int_vec,
     is_zero_vec,
     mat_vec,
     ori,
@@ -100,9 +99,6 @@ class OrientedSubspace:
     @property
     def n(self) -> int:
         return len(self.basis[0]) if self.basis else 0
-
-    def contains(self, v) -> bool:
-        return self._span.contains_int(int_vec(vec(v)))
 
     def apply(self, g) -> "OrientedSubspace":
         return OrientedSubspace(tuple(mat_vec(g, v) for v in self.basis))

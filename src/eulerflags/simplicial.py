@@ -6,15 +6,24 @@ g_ii = Id, g_ij g_ji = Id, and the per-simplex cocycle rule g_ij g_jk = g_ik
 validated exactly.  A section assigns a nonzero vector to each vertex in the
 vertex's own trivialization.
 
+Everything after construction runs on cleared integers: each transition is
+kept as (L_ij, G_ij = L_ij g_ij) with L_ij the positive lcm of its
+denominators (a direction stored only as its reverse is built once from
+mat_inv and cleared the same way), and each section vector as its int_vec.
+Validation checks each distinct face of the complex once, however many
+simplices share it.
+
 The per-simplex evaluation transports all section values to a base vertex
-and feeds them to smi (total) or sul (needs a generic section); independence
-of the base vertex is re-verified on every simplex, and a closed chain must
-produce an integer in smillie mode.
+as the integer vectors G_bj s_j, positive multiples of g_bj s_j that no
+Cramer sign can tell apart, and feeds them to smi (total) or sul (needs a
+generic section); independence of the base vertex is re-verified on every
+simplex, and a closed chain must produce an integer in smillie mode.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .cocycles import smi
@@ -22,7 +31,9 @@ from .linalg import (
     InputError,
     PropertyViolation,
     cramer_signs,
+    det_sign_int,
     identity,
+    int_vec,
     is_zero_vec,
     mat,
     mat_inv,
@@ -87,12 +98,35 @@ def chain_boundary(simplices):
     return out
 
 
+def _clear(g):
+    """(L, L*g): the positive lcm L of g's denominators, and g cleared by it
+    to an integer matrix."""
+    den = math.lcm(*(x.denominator for r in g for x in r))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                      for r in g)
+
+
+def _close(a, da, b, db, tol):
+    """Integer form of validate's closeness test for the rationals a/da and
+    b/db (integer matrices, positive denominators) at tol = p/q: every entry
+    must satisfy |x/da - y/db| <= tol * scale, scale being the largest of 1
+    and all entries' absolute values; multiplied through by q*da*db that is
+    q*|x*db - y*da| <= p*max(da*db, max|x|*db, max|y|*da)."""
+    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    if not tol:
+        return all(x * db == y * da for x, y in pairs)
+    p, q = tol.numerator, tol.denominator
+    bound = p * max(da * db, max(abs(x) for x, _ in pairs) * db,
+                    max(abs(y) for _, y in pairs) * da)
+    return all(q * abs(x * db - y * da) <= bound for x, y in pairs)
+
+
 class FlatBundleComplex:
     """n: even rank; vertices: count; simplices: [(vertex tuple, coeff)];
     transitions: {(i, j): matrix}; section: [vector per vertex]."""
 
     __slots__ = ("n", "vertices", "simplices", "transitions", "section",
-                 "tol")
+                 "tol", "_cleared", "_ints")
 
     def __init__(self, n, vertices, simplices, transitions, section,
                  validate=True, tol=0):
@@ -104,6 +138,8 @@ class FlatBundleComplex:
             self.transitions[(int(i), int(j))] = mat(g)
         self.section = tuple(vec(s) for s in section)
         self.tol = Fraction(tol)
+        self._cleared = {p: _clear(g) for p, g in self.transitions.items()}
+        self._ints = tuple(int_vec(s) for s in self.section)
         if validate:
             self.validate(self.tol)
 
@@ -119,24 +155,34 @@ class FlatBundleComplex:
         except KeyError:
             raise InputError(f"no transition for vertex pair ({i}, {j})") from None
 
+    def _pair(self, i: int, j: int):
+        """(L_ij, G_ij = L_ij g_ij) for i != j; a direction stored only as
+        its reverse is inverted and cleared on first use."""
+        try:
+            return self._cleared[(i, j)]
+        except KeyError:
+            lg = self._cleared[(i, j)] = _clear(self.g(i, j))
+            return lg
+
     def validate(self, tol=0):
         """tol = 0: every identity is required exactly (rational data).
         tol > 0: the inverse-pair and cocycle identities are allowed a
         relative defect up to tol — for transition data that only
         approximates a flat structure (e.g. floating-point holonomies,
-        stored as exact dyadic rationals).  Everything else stays exact."""
+        stored as exact dyadic rationals).  Everything else stays exact.
+
+        Each distinct edge and triangle of the complex is checked once, on
+        the cleared integer transitions.  On exact data one inverse pair per
+        unordered edge {a, b}, G_ab G_ba = L_ab L_ba Id, and one cocycle rule
+        per sorted triangle a < b < c, L_ac G_ab G_bc = L_ab L_bc G_ac, imply
+        the identities for every ordering.  On tolerant data those
+        derivations would accumulate defects, so every ordered pair and
+        every ordered triple is checked, each once, by _close: the integer
+        form of the relative bound, which accepts exactly what the bound on
+        the rational matrices accepts."""
         tol = Fraction(tol)
         if tol < 0:
             raise InputError("tol must be nonnegative")
-
-        def close(a, b):
-            if not tol:
-                return a == b
-            scale = max([Fraction(1)] + [abs(x) for r in a for x in r]
-                        + [abs(x) for r in b for x in r])
-            return all(abs(x - y) <= tol * scale
-                       for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
         n = self.n
         if len(self.section) != self.vertices:
             raise InputError("section must assign a vector to every vertex")
@@ -151,9 +197,11 @@ class FlatBundleComplex:
             if i == j:
                 if g != identity(n):
                     raise InputError(f"transition ({i}, {i}) must be the identity")
-            elif sig(g) != 1:
+            elif det_sign_int(self._cleared[(i, j)][1]) != 1:
                 raise InputError(f"transition ({i}, {j}) must have positive determinant")
-        ident = identity(n)
+        ident = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+        pair = self._pair
+        edges, triangles = set(), set()
         for verts, _ in self.simplices:
             if len(verts) != n + 1:
                 raise InputError(f"simplex {verts} is not an n-simplex (n={n})")
@@ -161,20 +209,40 @@ class FlatBundleComplex:
                 raise InputError(f"repeated vertex in simplex {verts}")
             if any(not 0 <= v < self.vertices for v in verts):
                 raise InputError(f"vertex out of range in simplex {verts}")
-            for a, b in itertools.permutations(verts, 2):
-                gab = self.g(a, b)
-                if not close(mat_mul(gab, self.g(b, a)), ident):
-                    raise InputError(f"transitions ({a},{b}) and ({b},{a}) are not inverse")
-            for a, b, c in itertools.permutations(verts, 3):
-                if not close(mat_mul(self.g(a, b), self.g(b, c)), self.g(a, c)):
-                    raise InputError(
-                        f"cocycle rule fails on ({a},{b},{c}) within simplex {verts}")
+            face = sorted(verts)
+            for e in itertools.combinations(face, 2):
+                if e in edges:
+                    continue
+                edges.add(e)
+                for a, b in (e,) if not tol else (e, e[::-1]):
+                    (lab, gab), (lba, gba) = pair(a, b), pair(b, a)
+                    if not _close(mat_mul(gab, gba), lab * lba, ident, 1, tol):
+                        raise InputError(f"transitions ({a},{b}) and ({b},{a}) are not inverse")
+            for t in itertools.combinations(face, 3):
+                if t in triangles:
+                    continue
+                triangles.add(t)
+                for a, b, c in (t,) if not tol else itertools.permutations(t):
+                    (lab, gab), (lbc, gbc) = pair(a, b), pair(b, c)
+                    lac, gac = pair(a, c)
+                    if not _close(mat_mul(gab, gbc), lab * lbc, gac, lac, tol):
+                        raise InputError(
+                            f"cocycle rule fails on ({a},{b},{c}) within simplex {verts}")
 
     def simplex_sections(self, verts, base: int = 0):
         """Section values of a simplex transported to the trivialization of
-        the base-th vertex, in stored vertex order."""
+        the base-th vertex, in stored vertex order, as integer vectors.
+
+        Each is G_bj s_j, with s_j = int_vec of the section at vertex j, a
+        positive multiple of g_bj times the section value: a positive
+        rescaling of any argument changes no Cramer sign, so smi and
+        sul_classify read the same values from these as from the rational
+        transport."""
         vb = verts[base]
-        return tuple(mat_vec(self.g(vb, vj), self.section[vj]) for vj in verts)
+        ints = self._ints
+        return tuple(ints[vj] if vj == vb else
+                     mat_vec(self._pair(vb, vj)[1], ints[vj])
+                     for vj in verts)
 
 
 def _simplex_value(bundle: FlatBundleComplex, verts, mode: str) -> Fraction:
@@ -238,7 +306,8 @@ def gauge_transform(bundle: FlatBundleComplex, hs) -> FlatBundleComplex:
     for h in hs:
         if sig(h) != 1:
             raise InputError("gauge matrices must have positive determinant")
-    transitions = {(i, j): mat_mul(mat_mul(hs[i], g), mat_inv(hs[j]))
+    hinv = [mat_inv(h) for h in hs]
+    transitions = {(i, j): mat_mul(mat_mul(hs[i], g), hinv[j])
                    for (i, j), g in bundle.transitions.items()}
     section = [mat_vec(hs[x], s) for x, s in enumerate(bundle.section)]
     return FlatBundleComplex(bundle.n, bundle.vertices, bundle.simplices,

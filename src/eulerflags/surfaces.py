@@ -124,10 +124,14 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
     N = 4 * g
     tol = Fraction(tol)
 
+    letters = {}
+    for l, m in enumerate(rep):
+        letters[(l, 1)], letters[(l, -1)] = m, mat_inv(m)
+
     def rho(word):
         m = identity(2)
-        for l, e in word:
-            m = mat_mul(m, rep[l] if e == 1 else mat_inv(rep[l]))
+        for letter in word:
+            m = mat_mul(m, letters[letter])
         return m
 
     cdeltas, closure = _corner_walk(g)
@@ -167,6 +171,15 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
         else:
             delta[j] = _winv(_mu(_partner(k)))
 
+    # rho(delta) and its inverse, once per raw boundary position; interior
+    # vertices carry the empty word, whose identity factor is never multiplied
+    frames = {}
+    for j in range(3 * N):
+        r = rho(delta[j])
+        frames[j] = (r, mat_inv(r))
+    one = identity(2)
+    interior = (one, one)
+
     transitions = {}
 
     def store(ci, cj, m):
@@ -188,18 +201,19 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
     ring = lambda j: 1 + (j % (3 * N))
     for j in range(3 * N):
         j1 = (j + 1) % (3 * N)
-        for tri in (((CEN, []), (ring(j), []), (ring(j1), [])),
-                    ((ring(j), []), (boundary_class(j), delta[j]),
-                     (boundary_class(j1), delta[j1])),
-                    ((ring(j), []), (boundary_class(j1), delta[j1]),
-                     (ring(j1), []))):
+        for tri in (((CEN, interior), (ring(j), interior),
+                     (ring(j1), interior)),
+                    ((ring(j), interior), (boundary_class(j), frames[j]),
+                     (boundary_class(j1), frames[j1])),
+                    ((ring(j), interior), (boundary_class(j1), frames[j1]),
+                     (ring(j1), interior))):
             classes = tuple(c for c, _ in tri)
             if len(set(classes)) != 3:
                 raise PropertyViolation(f"degenerate triangle {classes}")
-            rhos = [rho(d) for _, d in tri]
-            for (ci, ri), (cj, rj) in itertools.permutations(
-                    zip(classes, rhos), 2):
-                store(ci, cj, mat_mul(ri, mat_inv(rj)))
+            for (ci, (ri, _)), (cj, (_, rj_inv)) in itertools.permutations(
+                    tri, 2):
+                store(ci, cj, ri if rj_inv is one else
+                      rj_inv if ri is one else mat_mul(ri, rj_inv))
             simplices.append((classes, 1))
 
     if section is None:

@@ -1,15 +1,20 @@
 """Flat-bundle validation, chain boundaries, and Euler-number evaluation
 on small hand-built complexes."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from eulerflags.linalg import InputError, identity
+from eulerflags.cocycles import smi
+from eulerflags.linalg import InputError, identity, mat_inv, mat_mul, mat_vec
 from eulerflags.randgen import RationalSampler
 from eulerflags.simplicial import (FlatBundleComplex, NonGenericSection,
                                    chain_boundary, euler_number,
-                                   gauge_transform, with_section)
+                                   gauge_transform, sul_classify, with_section)
+from eulerflags.surfaces import (fuchsian_octagon_rep, genus_surface_bundle,
+                                 rational_flat_rep)
 
 F = Fraction
 I2 = identity(2)
@@ -174,3 +179,202 @@ def test_negative_tol_rejected():
     with pytest.raises(InputError, match="tol"):
         FlatBundleComplex(2, 3, simplices, _ident_transitions(simplices),
                           _sections(3), tol=F(-1, 10))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the literal rational definitions.  validate
+# checks each face once on cleared integers and simplex_sections transports
+# on integers; the oracles below are the ordered-permutation Fraction loop
+# and the Fraction mat_vec transport they replace.
+
+
+def _oracle_identities(b):
+    """(lhs, rhs) of every inverse-pair and cocycle identity, per simplex and
+    in every order, as Fraction matrices."""
+    ident = identity(b.n)
+    for verts, _ in b.simplices:
+        for x, y in itertools.permutations(verts, 2):
+            yield mat_mul(b.g(x, y), b.g(y, x)), ident
+        for x, y, z in itertools.permutations(verts, 3):
+            yield mat_mul(b.g(x, y), b.g(y, z)), b.g(x, z)
+
+
+def _oracle_scale(lhs, rhs):
+    return max([F(1)] + [abs(v) for r in lhs + rhs for v in r])
+
+
+def _oracle_accepts(b, tol):
+    for lhs, rhs in _oracle_identities(b):
+        scale = _oracle_scale(lhs, rhs)
+        if not all(abs(x - y) <= tol * scale
+                   for rl, rr in zip(lhs, rhs) for x, y in zip(rl, rr)):
+            return False
+    return True
+
+
+def _oracle_worst(b):
+    """The smallest tol at which _oracle_accepts(b, tol) holds."""
+    return max(abs(x - y) / _oracle_scale(lhs, rhs)
+               for lhs, rhs in _oracle_identities(b)
+               for rl, rr in zip(lhs, rhs) for x, y in zip(rl, rr))
+
+
+def _accepts(b, tol):
+    try:
+        b.validate(tol)
+    except InputError:
+        return False
+    return True
+
+
+def _copy(b, transitions):
+    return FlatBundleComplex(b.n, b.vertices, b.simplices, transitions,
+                             b.section, validate=False, tol=b.tol)
+
+
+def _genus2(kind, seed):
+    if kind == "trivial":
+        return genus_surface_bundle([I2] * 4, seed=seed)
+    if kind == "rational":
+        return genus_surface_bundle(rational_flat_rep(), seed=seed)
+    return genus_surface_bundle(fuchsian_octagon_rep(), seed=seed,
+                                tol=FUCHSIAN_TOL)
+
+
+FUCHSIAN_TOL = F(1, 10 ** 9)
+KINDS = ("trivial", "rational", "fuchsian")
+
+
+def _faulted(b, rng, eps):
+    """{name: bundle} with seeded planted faults: one stored direction
+    perturbed by eps; one pair perturbed consistently in both directions
+    (every inverse identity still holds, a cocycle rule breaks); the bundle
+    stored one direction per pair; and that one-direction bundle with one
+    perturbed transition."""
+    pairs = sorted(p for p in b.transitions if p[0] < p[1])
+    out = {}
+    for name, both in (("one entry", False), ("both directions", True)):
+        i, j = rng.choice(pairs)
+        r, c = rng.randrange(2), rng.randrange(2)
+        g = [list(row) for row in b.transitions[(i, j)]]
+        g[r][c] += eps
+        g = tuple(tuple(row) for row in g)
+        ts = dict(b.transitions)
+        ts[(i, j)] = g
+        if both:
+            ts[(j, i)] = mat_inv(g)
+        out[name] = _copy(b, ts)
+    one_way = {p: b.transitions[p] for p in pairs}
+    out["one-way"] = _copy(b, one_way)
+    i, j = rng.choice(pairs)
+    one_way[(i, j)] = tuple(tuple(x + eps for x in row)
+                            for row in one_way[(i, j)])
+    out["one-way perturbed"] = _copy(b, one_way)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_validate_matches_oracle_on_planted_faults(kind):
+    rng = random.Random(f"faults:{kind}")
+    verdicts = set()
+    b = _genus2(kind, 1)
+    for eps in (F(1, 97), F(1, 10 ** 15)):
+        for name, fb in [("unchanged", b)] + list(_faulted(b, rng, eps).items()):
+            for tol in {F(0), FUCHSIAN_TOL}:
+                want = _oracle_accepts(fb, tol)
+                assert _accepts(fb, tol) == want, (name, eps, tol)
+                verdicts.add((tol == 0, want))
+    # exact and tolerant validation each both accepted and rejected
+    want = {(True, False), (False, True), (False, False)}
+    if kind != "fuchsian":
+        want.add((True, True))
+    assert verdicts >= want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_validate_tolerance_boundary_matches_oracle(kind):
+    # tol = the worst relative defect puts that defect at exactly
+    # tol * scale (accepted); any smaller tol leaves it just above (rejected)
+    rng = random.Random(f"boundary:{kind}")
+    b = _genus2(kind, 0)
+    cases = _faulted(b, rng, F(1, 10 ** 12))
+    del cases["one-way"]  # no planted defect
+    if kind == "fuchsian":
+        cases["unchanged"] = b  # the float holonomy's own rounding defects
+    for fb in cases.values():
+        worst = _oracle_worst(fb)
+        assert worst > 0
+        for tol in (worst, worst * (1 - F(1, 10 ** 30))):
+            want = _oracle_accepts(fb, tol)
+            assert want == (tol == worst)
+            assert _accepts(fb, tol) == want
+
+
+def _oracle_per_simplex(b, mode):
+    """Per-simplex values from the Fraction mat_vec transport, checked
+    base-vertex independent."""
+    per = []
+    for verts, _ in b.simplices:
+        vals = set()
+        for vb in verts:
+            vs = tuple(mat_vec(b.g(vb, vj), b.section[vj]) for vj in verts)
+            if mode == "smillie":
+                vals.add(smi(vs))
+            else:
+                v, generic = sul_classify(vs)
+                if not generic:
+                    return None
+                vals.add(v)
+        assert len(vals) == 1
+        per.append(vals.pop())
+    return per
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_per_simplex_matches_rational_transport(kind):
+    s = RationalSampler(40, m=9)
+    b = _genus2(kind, 3)
+    one_way = {p: g for p, g in b.transitions.items() if p[0] < p[1]}
+    hs = [s.glp_matrix(2) for _ in range(b.vertices)]
+    for bb in (b, _copy(b, one_way), gauge_transform(b, hs)):
+        for mode in ("smillie", "sullivan"):
+            want = _oracle_per_simplex(bb, mode)
+            if want is None:
+                with pytest.raises(NonGenericSection):
+                    euler_number(bb, mode)
+                continue
+            assert euler_number(bb, mode)[2] == want
+
+
+def test_simplex_sections_are_positive_multiples():
+    s = RationalSampler(41, m=9)
+    b = genus_surface_bundle(rational_flat_rep(),
+                             section=[s.vector(2) for _ in range(34)])
+    for verts, _ in b.simplices[:12]:
+        for base in range(3):
+            got = b.simplex_sections(verts, base)
+            for v, vj in zip(got, verts):
+                assert all(isinstance(x, int) for x in v)
+                w = mat_vec(b.g(verts[base], vj), b.section[vj])
+                # v = lam * w with lam > 0
+                k = next(t for t in range(2) if w[t])
+                lam = v[k] / w[k]
+                assert lam > 0 and all(x == lam * y for x, y in zip(v, w))
+
+
+def test_tolerant_validate_checks_both_orders_of_an_edge():
+    # g_10 = g_01^-1 + P: the defect of g_10 g_01 (= P g_01) is k^2 times
+    # that of g_01 g_10 and of every cocycle rule, so only the reversed
+    # edge order decides the boundary
+    k, eps = 1000, F(1, 10 ** 9)
+    d, dinv = ((F(k), F(0)), (F(0), F(1, k))), ((F(1, k), F(0)), (F(0), F(k)))
+    ts = {(0, 1): d, (1, 0): ((F(1, k), F(0)), (eps, F(k))), (1, 2): dinv,
+          (2, 1): d, (0, 2): I2, (2, 0): I2}
+    b = FlatBundleComplex(2, 3, [((0, 1, 2), 1)], ts, _sections(3),
+                          validate=False)
+    worst = _oracle_worst(b)
+    assert worst == eps * k
+    for tol in (worst, worst * (1 - F(1, 10 ** 30))):
+        want = _oracle_accepts(b, tol)
+        assert want == (tol == worst)
+        assert _accepts(b, tol) == want

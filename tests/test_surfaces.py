@@ -1,5 +1,7 @@
 """Genus-g fixture bundles and the reference representations."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from eulerflags.circle import euler_number_oracle
 from eulerflags.linalg import (InputError, det, identity, mat_inv,
                                mat_mul, mat_vec)
 from eulerflags.randgen import RationalSampler
+from eulerflags.serialize import dump_bundle
 from eulerflags.simplicial import (NonGenericSection, chain_boundary,
                                    euler_number, gauge_transform,
                                    with_section)
@@ -129,3 +132,17 @@ def test_uncertifiable_section_on_tolerant_bundle():
             hit = True
             break
     assert hit, "expected an exactly incoherent simplex to refuse"
+
+
+@pytest.mark.parametrize("rep, digest", [
+    ([I2] * 4,
+     "28012fc7156a7d5dc81af0ae3db1fa91e171f8dbb3b3c96ea5e03392ce8c9105"),
+    (rational_flat_rep(),
+     "9c95fe995b10efe5e27671b022413c287a3ef8a64f81e82a5fe16809d73711cd"),
+])
+def test_bundle_bytes_pinned(rep, digest):
+    # the serialized genus-2 bundles (every transition and the seeded
+    # section) are pinned byte for byte: the build may be made cheaper, but
+    # it may not change a single transition
+    doc = json.dumps(dump_bundle(genus_surface_bundle(rep, seed=0)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
