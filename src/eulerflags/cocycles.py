@@ -2,7 +2,8 @@
 
 pcoc multiplies the n+1 deleted-index orientation signs of a point tuple, so
 it vanishes exactly off the hereditarily spanning locus.  coco does the same
-with iterated-bracket orientations of oriented flags and never vanishes.
+with iterated-bracket orientations of oriented flags (det_sign_int of the
+flags' integer vectors at the selected levels) and never vanishes.
 coc averages coco over all 2^(n(n+1)) half-space flips; the factorized mode
 uses the fact that bracket selection levels cannot see flips (flipping w_i
 rescales it by -1, which changes no span), so each flip bit enters the
@@ -17,7 +18,8 @@ tables over all 2^(n(n+1)) flip combinations; it exists as the
 differential-testing oracle for the factorized mode.
 
 pcoc, sul and smi all read the Cramer signs s_i = (-1)^i ori(x minus i) of
-the tuple, computed once by linalg.cramer_signs from n+1 determinants.
+the tuple from n+1 integer determinants on the vectors that the argument
+check clears once (integer input stays integer, never becoming Fractions).
 pcoc is (-1)^(n/2) times their product.  sul is the barycentric-sign
 cocycle: all n+1 Cramer signs agree and are nonzero exactly when the origin
 lies in the open interior of the simplex spanned by the arguments, and sul
@@ -40,16 +42,14 @@ import numpy as np
 from .linalg import (
     InputError,
     PropertyViolation,
-    cramer_signs,
+    _cramer_signs,
     det,
     det_sign_int,
     e0,
-    is_zero_vec,
+    int_vec,
     mat,
-    ori,
     require_even,
     standard_basis,
-    vec,
 )
 from .flags import (
     OrientedFlag,
@@ -65,17 +65,18 @@ def _deleted(xs, i):
 
 
 def _check_points(vs, allow_zero=False):
-    vs = tuple(vec(v) for v in vs)
-    if not vs:
+    """The tuple's vectors cleared to integers (each once), and n."""
+    ints = [int_vec(v) for v in vs]
+    if not ints:
         raise InputError("empty point tuple")
-    n = require_even(len(vs[0]))
-    if any(len(v) != n for v in vs):
+    n = require_even(len(ints[0]))
+    if any(len(v) != n for v in ints):
         raise InputError("points of mixed dimension")
-    if len(vs) != n + 1:
-        raise InputError(f"need an (n+1)-tuple, got {len(vs)} points in dimension {n}")
-    if not allow_zero and any(is_zero_vec(v) for v in vs):
+    if len(ints) != n + 1:
+        raise InputError(f"need an (n+1)-tuple, got {len(ints)} points in dimension {n}")
+    if not allow_zero and not all(any(v) for v in ints):
         raise InputError("zero vector has no projective class")
-    return vs, n
+    return ints, n
 
 
 def _check_flags(Fs):
@@ -96,27 +97,22 @@ def pcoc(vs) -> Fraction:
     """Product of the n+1 deleted-index orientations, (-1)^(n/2) times the
     product of the Cramer signs; 0 iff not hereditarily spanning, and
     descends to projective points."""
-    vs, n = _check_points(vs)
-    return Fraction((-1) ** (n // 2) * math.prod(cramer_signs(vs)))
+    ints, n = _check_points(vs)
+    return Fraction((-1) ** (n // 2) * math.prod(_cramer_signs(ints)))
 
 
 def coco(Fs) -> Fraction:
     """Product of the deleted-index iterated-bracket orientations; always +-1."""
     Fs, n = _check_flags(Fs)
-    val = 1
-    for i in range(n + 1):
-        val *= ori(bracket_selections(_deleted(Fs, i))[0].basis)
-    if val not in (-1, 1):
-        raise PropertyViolation(f"coco took the value {val}")
-    return Fraction(val)
+    return Fraction(_deleted_brackets(Fs, n)[0])
 
 
 def sul(vs) -> Fraction:
     """+-1 when 0 is interior to the open simplex spanned by the arguments
     (all Cramer signs (-1)^i ori(deleted i) equal and nonzero), else 0.
     Total: zero vectors are fine and simply give 0."""
-    vs, _ = _check_points(vs, allow_zero=True)
-    signs = cramer_signs(vs)
+    ints, _ = _check_points(vs, allow_zero=True)
+    signs = _cramer_signs(ints)
     if signs[0] and all(s == signs[0] for s in signs):
         return Fraction(signs[0])
     return Fraction(0)
@@ -127,8 +123,8 @@ def smi(vs) -> Fraction:
     the product of the Cramer signs over 2^n.  Nonzero iff hereditarily
     spanning, since the n+1 deleted-index determinants are exactly the
     n-subsets of the tuple."""
-    vs, n = _check_points(vs)
-    return Fraction(math.prod(cramer_signs(vs)), 2 ** n)
+    ints, n = _check_points(vs)
+    return Fraction(math.prod(_cramer_signs(ints)), 2 ** n)
 
 
 def coboundary(f, xs) -> Fraction:
@@ -145,20 +141,26 @@ def coboundary(f, xs) -> Fraction:
 # Deflation.
 
 
-def _coc_factorized(Fs, n) -> Fraction:
+def _deleted_brackets(Fs, n):
+    """(coco value, how many deleted-index brackets selected each
+    (flag, level))."""
     mult: dict[tuple[int, int], int] = {}
     val = 1
     for i in range(n + 1):
         kept = [a for a in range(n + 1) if a != i]
-        W, levels = bracket_selections([Fs[a] for a in kept])
-        val *= ori(W.basis)
-        for a, lev in zip(kept, levels):
-            key = (a, lev)
+        levels = bracket_selections([Fs[a] for a in kept])[1]
+        val *= det_sign_int([Fs[a].ints[lev] for a, lev in zip(kept, levels)])
+        for key in zip(kept, levels):
             mult[key] = mult.get(key, 0) + 1
+    if val not in (-1, 1):
+        raise PropertyViolation(f"coco took the value {val}")
+    return val, mult
+
+
+def _coc_factorized(Fs, n) -> Fraction:
+    val, mult = _deleted_brackets(Fs, n)
     if any(m % 2 for m in mult.values()):
         return Fraction(0)
-    if val not in (-1, 1):
-        raise PropertyViolation(f"coc took the value {val}")
     return Fraction(val)
 
 

@@ -22,7 +22,10 @@ from fractions import Fraction
 from .linalg import (
     InputError,
     PropertyViolation,
-    det,
+    _clear,
+    _det_int,
+    _primitive,
+    det_sign_int,
     is_zero_vec,
     mat_vec,
     ori,
@@ -65,11 +68,7 @@ class _IntSpan:
         p = _pivot(red)
         if p < 0:
             raise InputError("vector already in span")
-        g = 0
-        for x in red:
-            g = math.gcd(g, x)
-        red = [x // g for x in red]
-        return _IntSpan(sorted(self.rows + [(p, tuple(red))]))
+        return _IntSpan(sorted(self.rows + [(p, _primitive(red))]))
 
 
 class OrientedSubspace:
@@ -96,13 +95,6 @@ class OrientedSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def n(self) -> int:
-        return len(self.basis[0]) if self.basis else 0
-
-    def apply(self, g) -> "OrientedSubspace":
-        return OrientedSubspace(tuple(mat_vec(g, v) for v in self.basis))
-
 
 class OrientedFlag:
     """Complete oriented flag of R^n encoded by a nonsingular ordered basis."""
@@ -115,7 +107,7 @@ class OrientedFlag:
         if n == 0 or any(len(v) != n for v in self.basis):
             raise InputError("flag basis must be n vectors of dimension n")
         self.ints = tuple(primitive_int_vec(v) for v in self.basis)
-        if ori(self.basis) == 0:
+        if det_sign_int(self.ints) == 0:
             raise InputError("singular flag basis")
 
     @property
@@ -159,7 +151,7 @@ def flag_equal_unoriented(F: OrientedFlag, G: OrientedFlag) -> bool:
 
 def flagstaff(F: OrientedFlag):
     """The line F^1 as a canonical projective point."""
-    return projective_normalize(F.basis[0])
+    return projective_normalize(F.ints[0])
 
 
 def _step(span: _IntSpan, F: OrientedFlag) -> int:
@@ -212,15 +204,16 @@ def bracket(Fs) -> OrientedSubspace:
 
 
 def _cofactor_functional(basis):
-    # x |-> det(rows: basis..., x) as a coefficient vector; basis has n-1 rows
+    # x |-> det(rows: basis..., x) as a coefficient vector; basis has n-1 rows,
+    # cleared once: each integer minor is over the product of the row lcms
     n = len(basis[0])
     if len(basis) != n - 1:
         raise PropertyViolation("cofactor functional needs n - 1 basis vectors")
-    coeffs = []
-    for c in range(n):
-        minor = [[row[k] for k in range(n) if k != c] for row in basis]
-        coeffs.append((-1 if (n + c + 1) % 2 else 1) * det(minor))
-    return tuple(coeffs)
+    lcms, rows = zip(*map(_clear, basis))
+    den = math.prod(lcms)
+    minors = [_det_int([r[:c] + r[c + 1:] for r in rows]) for c in range(n)]
+    return tuple(Fraction(-m if (n + c + 1) % 2 else m, den)
+                 for c, m in enumerate(minors))
 
 
 def _ell(coeffs, x) -> Fraction:
@@ -236,9 +229,10 @@ def realize_points(Fs):
     pair, padded with the already-found points above k), and x_k is produced
     by walking from the origin along the basis of F_k with exact step sizes
     small enough to never re-cross a hyperplane once left.  Each constraint
-    sign is therefore decided at the level where its hyperplane is first
-    left, and equals the bracket-extension orientation.  The quadratic-pair
-    postcondition is checked before returning (PropertyViolation).
+    sign is therefore decided at the level where its hyperplane ker ell is
+    first left, and equals sign ell(w) for F_k's lowest w off it: the
+    bracket-extension orientation.  Every stage's sides and the quadratic-pair
+    postcondition are checked before returning (PropertyViolation).
     """
     Fs = tuple(Fs)
     if not Fs:
@@ -255,18 +249,13 @@ def realize_points(Fs):
             flagpart = [Fs[a] for a in range(k) if a not in (i, j)]
             pointpart = [pts[b] for b in range(k + 1, n + 2) if b not in (i, j)]
             vbasis = (tuple(bracket(flagpart).basis) if flagpart else ()) + tuple(pointpart)
-            V = OrientedSubspace(vbasis)
-            if V.dim != n - 1:
-                raise PropertyViolation("constraint subspace is not a hyperplane")
-            ext = bracket_step(V, Fs[k])
-            target = ori(ext.basis)
-            if target == 0:
-                raise PropertyViolation("bracket extension is degenerate")
             coeffs = _cofactor_functional(vbasis)
-            s = _ell(coeffs, ext.basis[-1])
-            if ((s > 0) - (s < 0)) != target:  # same ordered-basis convention
-                raise PropertyViolation("cofactor functional disagrees with ori")
-            constraints.append((coeffs, target))
+            if not any(coeffs):
+                raise PropertyViolation("constraint subspace is not a hyperplane")
+            # V = ker ell; bracket_step(V, F_k) appends F_k's lowest w off V,
+            # and ori(vbasis + (w,)) = sign ell(w) by cofactor expansion
+            s = next(x for x in (_ell(coeffs, w) for w in Fs[k].basis) if x)
+            constraints.append((coeffs, (s > 0) - (s < 0)))
 
         y = tuple(Fraction(0) for _ in range(n))
         for lev in range(n):

@@ -1,11 +1,13 @@
 """Exact rational linear algebra for orientation computations.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples acting on
-column vectors.  Everything here is decided exactly, with no tolerance:
-determinants, inverses and Cramer solves all go through one integer
-fraction-free (Bareiss) kernel after clearing denominators per row or
-vector, and spans go through the incremental integer echelon
-flags._IntSpan.
+column vectors.  Everything here is decided exactly, with no tolerance.
+The one clearing rule, _clear, maps rationals to the positive lcm L of
+their denominators and the integers numerator * (L // denominator); every
+input is cleared by it once, and every integer kernel reads its output:
+determinants, inverses, orientation and Cramer signs go through one
+fraction-free (Bareiss) kernel, and spans through the incremental integer
+echelon flags._IntSpan, whose rows _primitive divides by their gcd.
 
 >>> ori(((1, 0), (0, 1)))
 1
@@ -63,23 +65,34 @@ def is_zero_vec(v) -> bool:
     return all(x == 0 for x in v)
 
 
+def _clear(xs) -> tuple[int, tuple[int, ...]]:
+    """(L, ints): the positive lcm L of the denominators of xs and the
+    entries numerator * (L // denominator), so that ints = L * xs exactly.
+    Entries that are not int or Fraction go through fr (strings parse,
+    floats raise InputError)."""
+    xs = [x if isinstance(x, (int, Fraction)) else fr(x) for x in xs]
+    den = math.lcm(*[x.denominator for x in xs])
+    return den, tuple(x.numerator * (den // x.denominator) for x in xs)
+
+
+def _primitive(ints) -> tuple[int, ...]:
+    """Integer vector divided by the gcd of its entries (positive scaling)."""
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
 def int_vec(v) -> tuple[int, ...]:
-    """Clear denominators by the positive lcm; sign and direction preserved."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return tuple(int(x * den) for x in v)
+    """Clear denominators by the positive lcm; sign and direction preserved.
+
+    >>> int_vec((Fraction(1, 2), -1, "2/3"))
+    (3, -6, 4)
+    """
+    return _clear(v)[1]
 
 
 def primitive_int_vec(v) -> tuple[int, ...]:
     """int_vec divided by the gcd of its entries (positive scaling only)."""
-    iv = int_vec(v)
-    g = 0
-    for x in iv:
-        g = math.gcd(g, x)
-    if g <= 1:
-        return iv
-    return tuple(x // g for x in iv)
+    return _primitive(int_vec(v))
 
 
 def projective_normalize(v) -> tuple[int, ...]:
@@ -93,10 +106,9 @@ def projective_normalize(v) -> tuple[int, ...]:
     >>> projective_normalize((Fraction(0), Fraction(-3)))
     (0, 1)
     """
-    w = vec(v)
-    if is_zero_vec(w):
+    iv = primitive_int_vec(v)
+    if not any(iv):
         raise InputError("zero vector has no projective class")
-    iv = primitive_int_vec(w)
     for x in iv:
         if x != 0:
             if x < 0:
@@ -144,14 +156,13 @@ def det_sign_int(rows: list[list[int]]) -> int:
 
 
 def _cleared(m):
-    """Per-row denominator lcms of a square matrix and its integer rows."""
-    m = mat(m)
-    k = len(m)
-    if any(len(r) != k for r in m):
-        raise InputError("expected a square matrix")
-    lcms = [math.lcm(*(x.denominator for x in r)) for r in m]
-    return lcms, [[x.numerator * (d // x.denominator) for x in r]
-                  for d, r in zip(lcms, m)]
+    """Per-row lcms of a square matrix and its rows, each cleared by _clear."""
+    cleared = [_clear(r) for r in m]
+    k = len(cleared)
+    for _, r in cleared:
+        if len(r) != k:
+            raise InputError(f"expected {k} rows of length {k}, got one of length {len(r)}")
+    return [lcm for lcm, _ in cleared], [r for _, r in cleared]
 
 
 def det(m) -> Fraction:
@@ -170,12 +181,7 @@ def ori(vs) -> int:
     The vectors are the columns of the matrix; det is transpose-invariant so
     they can be eliminated as rows directly.
     """
-    vs = tuple(vs)
-    k = len(vs)
-    for v in vs:
-        if len(v) != k:
-            raise InputError(f"ori needs {k} vectors of dimension {k}, got one of dimension {len(v)}")
-    return det_sign_int([list(int_vec(v)) for v in vs])
+    return det_sign_int(_cleared(vs)[1])
 
 
 def cramer_signs(vs) -> tuple[int, ...]:
@@ -193,16 +199,21 @@ def cramer_signs(vs) -> tuple[int, ...]:
         if len(v) != k - 1:
             raise InputError(f"cramer_signs needs {k} vectors of dimension {k - 1}, "
                              f"got one of dimension {len(v)}")
+    return _cramer_signs(ints)
+
+
+def _cramer_signs(ints) -> tuple[int, ...]:
+    """cramer_signs of k vectors already cleared to integers, shape checked."""
     signs = []
-    for i in range(k):
+    for i in range(len(ints)):
         s = det_sign_int(ints[:i] + ints[i + 1:])
         signs.append(-s if i % 2 else s)
     return tuple(signs)
 
 
 def sig(g) -> int:
-    """Sign of det(g) for nonsingular g."""
-    s = det_sign_int([list(int_vec(r)) for r in mat(g)])
+    """Sign of det(g) for a square nonsingular g."""
+    s = ori(g)
     if s == 0:
         raise InputError("sig is undefined on singular matrices")
     return s
@@ -248,16 +259,14 @@ def mat_inv(m):
 
 def hereditarily_spanning(xs, n: int | None = None) -> bool:
     """True iff every n-subset of the k >= n vectors spans (all dets nonzero)."""
-    xs = tuple(tuple(v) for v in xs)
-    if not xs:
+    ints = [int_vec(v) for v in xs]
+    if not ints:
         raise InputError("empty tuple")
     if n is None:
-        n = len(xs[0])
-    if len(xs) < n:
-        raise InputError(f"need at least n={n} vectors, got {len(xs)}")
-    ints = [int_vec(vec(v)) for v in xs]
-    return all(det_sign_int([list(r) for r in sub]) != 0
-               for sub in itertools.combinations(ints, n))
+        n = len(ints[0])
+    if len(ints) < n:
+        raise InputError(f"need at least n={n} vectors, got {len(ints)}")
+    return all(det_sign_int(sub) != 0 for sub in itertools.combinations(ints, n))
 
 
 def frame_transform(xs):
@@ -273,11 +282,14 @@ def frame_transform(xs):
     require_even(n)
     if len(xs) != n + 1:
         raise InputError(f"frame_transform needs n+1={n + 1} vectors")
-    d = det(xs[1:])
+    lcms, rows = _cleared(xs[1:])
+    l0, r0 = _clear(xs[0])
+    d = _det_int(rows)
     if d == 0:
         raise InputError("not hereditarily spanning: x_1..x_n do not span")
-    # Cramer's rule for sum_i c_i x_i = x_0, rows standing in for columns
-    cs = [det(xs[1:i] + (xs[0],) + xs[i + 1:]) / d for i in range(1, n + 1)]
+    # Cramer's rule for sum_i c_i x_i = x_0 (rows standing in for columns)
+    cs = [Fraction(_det_int(rows[:i] + [r0] + rows[i + 1:]) * lcms[i], d * l0)
+          for i in range(n)]
     if any(c == 0 for c in cs):
         raise InputError("not hereditarily spanning: x_0 has a zero coefficient over x_1..x_n")
     m = tuple(zip(*[tuple(c * x for x in col) for c, col in zip(cs, xs[1:])]))

@@ -86,8 +86,8 @@ class RationalSampler:
             if not is_zero_vec(vs[i]) and not hereditarily_spanning(vs, n):
                 return tuple(vs)
 
-    def tuple_with_degeneracies(self, n: int, count: int, p_degenerate=0.5):
-        if self.rng.random() < p_degenerate:
+    def tuple_with_degeneracies(self, n: int, count: int):
+        if self.rng.random() < 0.5:
             return self.non_spanning_tuple(n, count)
         return self.spanning_tuple(n, count)
 

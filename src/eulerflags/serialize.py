@@ -87,7 +87,7 @@ def dump_flags(n, flags):
     return {"n": n, "flags": [fmt_matrix(F.basis) for F in flags]}
 
 
-def load_bundle(doc, validate=True):
+def load_bundle(doc):
     from .simplicial import FlatBundleComplex
 
     n = _get(doc, "n")
@@ -98,8 +98,7 @@ def load_bundle(doc, validate=True):
                    for t in _get(doc, "transitions")}
     section = [parse_vector(s) for s in _get(doc, "section")]
     tol = parse_rational(doc.get("tol", 0))
-    return FlatBundleComplex(n, vertices, simplices, transitions, section,
-                             validate=validate, tol=tol)
+    return FlatBundleComplex(n, vertices, simplices, transitions, section, tol=tol)
 
 
 def dump_bundle(bundle):

@@ -6,30 +6,30 @@ g_ii = Id, g_ij g_ji = Id, and the per-simplex cocycle rule g_ij g_jk = g_ik
 validated exactly.  A section assigns a nonzero vector to each vertex in the
 vertex's own trivialization.
 
-Everything after construction runs on cleared integers: each transition is
-kept as (L_ij, G_ij = L_ij g_ij) with L_ij the positive lcm of its
-denominators (a direction stored only as its reverse is built once from
-mat_inv and cleared the same way), and each section vector as its int_vec.
-Validation checks each distinct face of the complex once, however many
-simplices share it.
+Everything after construction runs on integers cleared once by linalg's
+clearing rule: each transition, on first use, as (L_ij, G_ij = L_ij g_ij)
+with L_ij the positive lcm of its denominators (a direction stored only as
+its reverse is built from mat_inv first), and each section vector as its
+int_vec.  Validation checks each distinct face of the complex once.
 
 The per-simplex evaluation transports all section values to a base vertex
 as the integer vectors G_bj s_j, positive multiples of g_bj s_j that no
-Cramer sign can tell apart, and feeds them to smi (total) or sul (needs a
-generic section); independence of the base vertex is re-verified on every
-simplex, and a closed chain must produce an integer in smillie mode.
+Cramer sign can tell apart, and feeds them, still integers, to smi (total)
+or sul_classify (needs a generic section); independence of the base vertex
+is re-verified on every simplex, and a closed chain must produce an
+integer in smillie mode.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .cocycles import smi
 from .linalg import (
     InputError,
     PropertyViolation,
+    _clear,
     cramer_signs,
     det_sign_int,
     identity,
@@ -98,14 +98,6 @@ def chain_boundary(simplices):
     return out
 
 
-def _clear(g):
-    """(L, L*g): the positive lcm L of g's denominators, and g cleared by it
-    to an integer matrix."""
-    den = math.lcm(*(x.denominator for r in g for x in r))
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in r)
-                      for r in g)
-
-
 def _close(a, da, b, db, tol):
     """Integer form of validate's closeness test for the rationals a/da and
     b/db (integer matrices, positive denominators) at tol = p/q: every entry
@@ -138,10 +130,10 @@ class FlatBundleComplex:
             self.transitions[(int(i), int(j))] = mat(g)
         self.section = tuple(vec(s) for s in section)
         self.tol = Fraction(tol)
-        self._cleared = {p: _clear(g) for p, g in self.transitions.items()}
+        self._cleared = {}
         self._ints = tuple(int_vec(s) for s in self.section)
         if validate:
-            self.validate(self.tol)
+            self.validate()
 
     def g(self, i: int, j: int):
         if i == j:
@@ -156,17 +148,19 @@ class FlatBundleComplex:
             raise InputError(f"no transition for vertex pair ({i}, {j})") from None
 
     def _pair(self, i: int, j: int):
-        """(L_ij, G_ij = L_ij g_ij) for i != j; a direction stored only as
-        its reverse is inverted and cleared on first use."""
+        """(L_ij, G_ij = L_ij g_ij) for i != j, cleared on first use; a
+        direction stored only as its reverse is inverted first."""
         try:
             return self._cleared[(i, j)]
         except KeyError:
-            lg = self._cleared[(i, j)] = _clear(self.g(i, j))
+            n = self.n
+            den, flat = _clear([x for r in self.g(i, j) for x in r])
+            lg = self._cleared[(i, j)] = den, tuple(flat[k:k + n] for k in range(0, n * n, n))
             return lg
 
-    def validate(self, tol=0):
-        """tol = 0: every identity is required exactly (rational data).
-        tol > 0: the inverse-pair and cocycle identities are allowed a
+    def validate(self):
+        """self.tol = 0: every identity is required exactly (rational data).
+        self.tol > 0: the inverse-pair and cocycle identities are allowed a
         relative defect up to tol — for transition data that only
         approximates a flat structure (e.g. floating-point holonomies,
         stored as exact dyadic rationals).  Everything else stays exact.
@@ -180,7 +174,7 @@ class FlatBundleComplex:
         every ordered triple is checked, each once, by _close: the integer
         form of the relative bound, which accepts exactly what the bound on
         the rational matrices accepts."""
-        tol = Fraction(tol)
+        tol = self.tol
         if tol < 0:
             raise InputError("tol must be nonnegative")
         n = self.n
@@ -197,7 +191,7 @@ class FlatBundleComplex:
             if i == j:
                 if g != identity(n):
                     raise InputError(f"transition ({i}, {i}) must be the identity")
-            elif det_sign_int(self._cleared[(i, j)][1]) != 1:
+            elif det_sign_int(self._pair(i, j)[1]) != 1:
                 raise InputError(f"transition ({i}, {j}) must have positive determinant")
         ident = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
         pair = self._pair

@@ -149,6 +149,24 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+def test_only_linalg_clears_denominators():
+    # the clearing rule (lcm of denominators, gcd of a primitive vector)
+    # lives in linalg alone; every other module calls its routines
+    pkg = Path(eulerflags.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("gcd", "lcm")
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(a.name in ("gcd", "lcm") for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_module_entry_point(tmp_path):
     p = tmp_path / "pts.json"
     p.write_text(json.dumps(POINTS))

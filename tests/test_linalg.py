@@ -1,15 +1,18 @@
 """Exact kernels: ori, sig, spanning tests, projective form, frame moves."""
 
 import doctest
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from eulerflags import linalg
-from eulerflags.linalg import (InputError, OddDimensionError, det, e0,
+from eulerflags.linalg import (InputError, OddDimensionError, _clear, det, e0,
                                frame_transform, hereditarily_spanning,
-                               mat_vec, ori, projective_normalize,
-                               require_even, sig, standard_basis)
+                               int_vec, mat_vec, ori, primitive_int_vec,
+                               projective_normalize, require_even, sig,
+                               standard_basis)
 from eulerflags.randgen import RationalSampler
 
 F = Fraction
@@ -32,6 +35,66 @@ def test_sig_pinned_values():
 def test_ori_dimension_mismatch():
     with pytest.raises(InputError):
         ori(((1, 0, 0), (0, 1, 0)))
+
+
+def test_sig_rejects_non_square():
+    with pytest.raises(InputError):
+        sig(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(InputError):
+        sig(((1, 0), (0, 1), (1, 1)))
+
+
+def test_float_and_string_entries():
+    # floats are refused as vec refuses them; strings parse as vec parses them
+    for fn in (ori, lambda m: int_vec(m[0]), sig):
+        with pytest.raises(InputError, match="float"):
+            fn(((1.0, 0), (0, 1)))
+    assert ori((("1/2", "0"), (" 0", "-3"))) == -1
+    assert sig((("2", "1"), ("1", "1"))) == 1
+    assert int_vec(("1/2", "-1/3", "0")) == (3, -2, 0)
+    with pytest.raises(InputError):
+        det(((1, 0), (0.5, 1)))
+
+
+def _clear_oracle(xs):
+    """The Fraction definition: L the positive lcm of the denominators,
+    entries int(x * L)."""
+    fs = [Fraction(x) for x in xs]
+    den = math.lcm(*[x.denominator for x in fs])
+    return den, tuple(int(x * den) for x in fs)
+
+
+def test_clear_matches_fraction_definition():
+    rng = random.Random(20260)
+    kinds = set()
+    for trial in range(400):
+        bits = (8, 64, 200)[trial % 3]
+        xs = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(("zero", "int", "fraction", "str"))
+            kinds.add(kind)
+            num = rng.randint(-2 ** bits, 2 ** bits)
+            den = rng.randint(1, 2 ** bits)
+            if kind == "zero":
+                xs.append(rng.choice((0, Fraction(0), "0")))
+            elif kind == "int":
+                xs.append(num)
+            elif kind == "fraction":
+                xs.append(Fraction(num, den))
+            else:
+                xs.append(f"{num}/{den}")
+        want = _clear_oracle(xs)
+        got = _clear(xs)
+        assert got == want and got[0] > 0
+        assert all(type(x) is int for x in got[1])
+        assert int_vec(xs) == want[1]
+        g = math.gcd(*want[1]) or 1
+        assert primitive_int_vec(xs) == tuple(x // g for x in want[1])
+    assert kinds == {"zero", "int", "fraction", "str"}
+    assert _clear(()) == (1, ())
+    assert _clear((Fraction(-3, 4), 0, -2)) == (4, (-3, 0, -8))
+    with pytest.raises(InputError):
+        _clear((Fraction(1, 2), 0.25))
 
 
 @pytest.mark.parametrize("n", [2, 4])

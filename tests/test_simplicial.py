@@ -220,8 +220,10 @@ def _oracle_worst(b):
 
 
 def _accepts(b, tol):
+    """Whether a copy of b at tolerance tol validates."""
     try:
-        b.validate(tol)
+        FlatBundleComplex(b.n, b.vertices, b.simplices, b.transitions,
+                          b.section, tol=tol)
     except InputError:
         return False
     return True
@@ -378,3 +380,13 @@ def test_tolerant_validate_checks_both_orders_of_an_edge():
         want = _oracle_accepts(b, tol)
         assert want == (tol == worst)
         assert _accepts(b, tol) == want
+
+
+def test_validate_reads_the_bundle_tolerance():
+    # validate() checks at the bundle's own tol, the one its constructor
+    # accepted; a tolerance-free copy of float-derived data is rejected
+    b = genus_surface_bundle(fuchsian_octagon_rep(), tol=FUCHSIAN_TOL)
+    b.validate()
+    with pytest.raises(InputError):
+        FlatBundleComplex(b.n, b.vertices, b.simplices, b.transitions,
+                          b.section)

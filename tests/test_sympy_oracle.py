@@ -61,7 +61,7 @@ def test_det_inverse_against_sympy():
         d = _to_fraction(sm.det())
         assert det(m) == d, m
         sign = (d > 0) - (d < 0)
-        assert det_sign_int([list(int_vec(r)) for r in m]) == sign
+        assert det_sign_int([int_vec(r) for r in m]) == sign
         seen["big"] += big
         if d == 0:
             seen["singular"] += 1
