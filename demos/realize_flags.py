@@ -12,7 +12,7 @@ xs = realize_points(Fs)
 print("points:")
 for x in xs:
     print("   ", tuple(str(c) for c in x))
-print("hereditarily spanning:", hereditarily_spanning(xs, 2))
+print("hereditarily spanning:", hereditarily_spanning(xs))
 
 checks = 0
 for i in range(4):

@@ -16,13 +16,11 @@ from .linalg import (
 )
 from .flags import (
     OrientedFlag,
-    OrientedSubspace,
     make_flag,
     flip,
     flag_equal_unoriented,
     flagstaff,
     bracket,
-    bracket_step,
     realize_points,
 )
 from .cocycles import (
@@ -62,13 +60,11 @@ __all__ = [
     "projective_normalize",
     "frame_transform",
     "OrientedFlag",
-    "OrientedSubspace",
     "make_flag",
     "flip",
     "flag_equal_unoriented",
     "flagstaff",
     "bracket",
-    "bracket_step",
     "realize_points",
     "pcoc",
     "coco",

@@ -90,7 +90,7 @@ def word_lift(word, t: float = 0.0) -> float:
     return t
 
 
-def euler_number_oracle(rep, tol: float = 1e-6) -> int:
+def euler_number_oracle(rep) -> int:
     """Euler number of the flat bundle of a genus-g surface group
     representation rep = (A_1, B_1, ..., A_g, B_g).
 
@@ -119,7 +119,7 @@ def euler_number_oracle(rep, tol: float = 1e-6) -> int:
 
     total = word_lift(word, 0.0)
     e = total / (2 * math.pi)
-    if abs(e - round(e)) > tol:
+    if abs(e - round(e)) > 1e-6:
         raise PropertyViolation(f"rotation number {e} is not close to an integer")
     # Sign convention: the circle of directions is oriented so that this
     # oracle pairs with the counterclockwise fundamental chain used by the

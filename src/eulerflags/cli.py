@@ -53,8 +53,7 @@ def _cmd_eval(args):
     else:
         raise InputError(f"unknown eval kind {kind!r}")
     if base == "coc":
-        inner = f
-        f = lambda t: inner(t, mode=args.mode, budget_bits=args.budget_bits)
+        f = lambda t: coc(t, mode=args.mode)
     value = coboundary(f, xs) if kind.startswith("d") else f(xs)
     print(fmt_rational(value))
     return 0
@@ -120,8 +119,6 @@ def _build_parser() -> _Parser:
     q.add_argument("input", help="points/flags JSON file, or - for stdin")
     q.add_argument("--mode", choices=["factorized", "naive"],
                    default="factorized", help="coc evaluation mode")
-    q.add_argument("--budget-bits", type=int, default=20,
-                   help="refuse naive coc sums larger than 2^budget terms")
     q.set_defaults(func=_cmd_eval)
 
     q = sub.add_parser("witness", help="explicit witness constructions")

@@ -17,19 +17,22 @@ orientation sign over all 2^(n*n) flip patterns of the n flags it brackets
 tables over all 2^(n(n+1)) flip combinations; it exists as the
 differential-testing oracle for the factorized mode.
 
-pcoc, sul and smi all read the Cramer signs s_i = (-1)^i ori(x minus i) of
-the tuple from n+1 integer determinants on the vectors that the argument
-check clears once (integer input stays integer, never becoming Fractions).
-pcoc is (-1)^(n/2) times their product.  sul is the barycentric-sign
-cocycle: all n+1 Cramer signs agree and are nonzero exactly when the origin
-lies in the open interior of the simplex spanned by the arguments, and sul
-is then that common sign.  smi is the average of sul over the 2^(n+1) sign
-flips of the arguments, which makes it projective with sup-norm 2^(-n).
-Flipping argument j multiplies every s_i with i != j by -1, so when no s_i
-vanishes exactly one antipodal pair of flips makes all signs agree, both
-with value prod s_i; hence smi = prod s_i / 2^n in closed form, nonzero
-iff the tuple is hereditarily spanning, and pcoc = (-1)^(n/2) 2^n smi.  The
-literal 2^(n+1)-flip average is kept as an oracle in verify.smi_enumerated.
+pcoc, sul_classify, sul and smi all read the Cramer signs
+s_i = (-1)^i ori(x minus i) of the tuple: the signs of linalg's signed
+minors of the vectors that the argument check clears once (integer input
+stays integer, never becoming Fractions).  pcoc is (-1)^(n/2) times their
+product.  sul is the barycentric-sign cocycle: all n+1 Cramer signs agree
+and are nonzero exactly when the origin lies in the open interior of the
+simplex spanned by the arguments, and sul is then that common sign.  That
+rule is written once, in sul_classify, which also certifies whether the
+value is generic (needed by the simplicial sullivan mode); sul is its
+value.  smi is the average of sul over the 2^(n+1) sign flips of the
+arguments, which makes it projective with sup-norm 2^(-n).  Flipping
+argument j multiplies every s_i with i != j by -1, so when no s_i vanishes
+exactly one antipodal pair of flips makes all signs agree, both with value
+prod s_i; hence smi = prod s_i / 2^n in closed form, nonzero iff the tuple
+is hereditarily spanning, and pcoc = (-1)^(n/2) 2^n smi.  The literal
+2^(n+1)-flip average is kept as an oracle in verify.smi_enumerated.
 """
 
 from __future__ import annotations
@@ -107,15 +110,30 @@ def coco(Fs) -> Fraction:
     return Fraction(_deleted_brackets(Fs, n)[0])
 
 
+def sul_classify(vs):
+    """(value, generic): the sul value plus an exact genericity certificate.
+
+    All Cramer signs s_i = (-1)^i ori(deleted i) nonzero: generic, value +-1
+    when they agree (origin interior) and 0 when they do not (origin
+    outside).  Zeros among the signs put the origin on a span of fewer
+    vectors: still certified outside when the remaining signs disagree (the
+    kernel direction has mixed signs, so no convex combination hits 0),
+    otherwise non-generic.  Total: zero vectors are fine.
+    """
+    ints, _ = _check_points(vs, allow_zero=True)
+    signs = _cramer_signs(ints)
+    if 1 in signs and -1 in signs:
+        return Fraction(0), True
+    if 0 in signs:
+        return Fraction(0), False
+    return Fraction(signs[0]), True
+
+
 def sul(vs) -> Fraction:
     """+-1 when 0 is interior to the open simplex spanned by the arguments
     (all Cramer signs (-1)^i ori(deleted i) equal and nonzero), else 0.
     Total: zero vectors are fine and simply give 0."""
-    ints, _ = _check_points(vs, allow_zero=True)
-    signs = _cramer_signs(ints)
-    if signs[0] and all(s == signs[0] for s in signs):
-        return Fraction(signs[0])
-    return Fraction(0)
+    return sul_classify(vs)[0]
 
 
 def smi(vs) -> Fraction:
@@ -182,11 +200,10 @@ def _flipped_bracket_sign(bases, pattern, n) -> int:
     return det_sign_int(chosen)
 
 
-def _coc_naive(Fs, n, budget_bits) -> Fraction:
+def _coc_naive(Fs, n) -> Fraction:
     m = n * (n + 1)
-    if m > budget_bits:
-        raise InputError(
-            f"naive deflation needs 2^{m} terms, over the budget of 2^{budget_bits}")
+    if m > 20:  # at most 2^20 terms: n <= 4
+        raise InputError(f"naive deflation needs 2^{m} terms, over the budget of 2^20")
     nn = n * n
     tables = []
     for i in range(n + 1):
@@ -206,13 +223,13 @@ def _coc_naive(Fs, n, budget_bits) -> Fraction:
     return Fraction(total, 1 << m)
 
 
-def coc(Fs, mode: str = "factorized", budget_bits: int = 20) -> Fraction:
+def coc(Fs, mode: str = "factorized") -> Fraction:
     """Deflated flag cocycle: the average of coco over all flip combinations."""
     Fs, n = _check_flags(Fs)
     if mode == "factorized":
         return _coc_factorized(Fs, n)
     if mode == "naive":
-        return _coc_naive(Fs, n, budget_bits)
+        return _coc_naive(Fs, n)
     raise InputError(f"unknown coc mode {mode!r}")
 
 

@@ -23,10 +23,9 @@ from .linalg import (
     InputError,
     PropertyViolation,
     _clear,
-    _det_int,
+    _minors,
     _primitive,
     det_sign_int,
-    is_zero_vec,
     mat_vec,
     ori,
     primitive_int_vec,
@@ -72,24 +71,13 @@ class _IntSpan:
 
 
 class OrientedSubspace:
-    """Ordered independent basis; orientation is the basis order."""
+    """The bracket walk's result: the independent vectors it selected, in
+    order; orientation is the basis order."""
 
-    __slots__ = ("basis", "_span")
+    __slots__ = ("basis",)
 
-    def __init__(self, basis, _span: _IntSpan | None = None):
-        self.basis = tuple(vec(v) for v in basis)
-        if _span is not None:
-            self._span = _span
-            return
-        span = _IntSpan()
-        for v in self.basis:
-            if is_zero_vec(v):
-                raise InputError("zero vector in subspace basis")
-            iv = primitive_int_vec(v)
-            if span.contains_int(iv):
-                raise InputError("dependent subspace basis")
-            span = span.extended(iv)
-        self._span = span
+    def __init__(self, basis):
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -162,16 +150,6 @@ def _step(span: _IntSpan, F: OrientedFlag) -> int:
     raise InputError("flag cannot extend a full space")
 
 
-def bracket_step(W: OrientedSubspace | None, F: OrientedFlag) -> OrientedSubspace:
-    """[W, F]: append the positive representative of F's lowest level not in W."""
-    if W is None:
-        W = OrientedSubspace(())
-    if W.dim >= F.n:
-        raise InputError("bracket_step on an already-full subspace")
-    d = _step(W._span, F)
-    return OrientedSubspace(W.basis + (F.basis[d],), _span=W._span.extended(F.ints[d]))
-
-
 def bracket_selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:
     """Iterated bracket plus the 0-indexed selection level per input flag."""
     Fs = tuple(Fs)
@@ -188,10 +166,7 @@ def bracket_selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:
         levels.append(d)
         basis.append(F.basis[d])
         span = span.extended(F.ints[d])
-    W = OrientedSubspace(tuple(basis), _span=span)
-    if W.dim != len(Fs):
-        raise PropertyViolation("bracket dimension differs from the flag count")
-    return W, tuple(levels)
+    return OrientedSubspace(tuple(basis)), tuple(levels)
 
 
 def bracket(Fs) -> OrientedSubspace:
@@ -205,15 +180,16 @@ def bracket(Fs) -> OrientedSubspace:
 
 def _cofactor_functional(basis):
     # x |-> det(rows: basis..., x) as a coefficient vector; basis has n-1 rows,
-    # cleared once: each integer minor is over the product of the row lcms
+    # cleared once: expanding along the last row, coefficient c is
+    # (-1)^(n-1) times the c-th signed minor of the transposed integer rows,
+    # over the product of the row lcms
     n = len(basis[0])
     if len(basis) != n - 1:
         raise PropertyViolation("cofactor functional needs n - 1 basis vectors")
     lcms, rows = zip(*map(_clear, basis))
     den = math.prod(lcms)
-    minors = [_det_int([r[:c] + r[c + 1:] for r in rows]) for c in range(n)]
-    return tuple(Fraction(-m if (n + c + 1) % 2 else m, den)
-                 for c, m in enumerate(minors))
+    return tuple(Fraction(m if n % 2 else -m, den)
+                 for m in _minors(list(zip(*rows))))
 
 
 def _ell(coeffs, x) -> Fraction:
@@ -252,8 +228,9 @@ def realize_points(Fs):
             coeffs = _cofactor_functional(vbasis)
             if not any(coeffs):
                 raise PropertyViolation("constraint subspace is not a hyperplane")
-            # V = ker ell; bracket_step(V, F_k) appends F_k's lowest w off V,
-            # and ori(vbasis + (w,)) = sign ell(w) by cofactor expansion
+            # V = ker ell; the bracket extension of V by F_k appends F_k's
+            # lowest w off V, and ori(vbasis + (w,)) = sign ell(w) by
+            # cofactor expansion
             s = next(x for x in (_ell(coeffs, w) for w in Fs[k].basis) if x)
             constraints.append((coeffs, (s > 0) - (s < 0)))
 

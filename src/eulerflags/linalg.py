@@ -5,9 +5,14 @@ column vectors.  Everything here is decided exactly, with no tolerance.
 The one clearing rule, _clear, maps rationals to the positive lcm L of
 their denominators and the integers numerator * (L // denominator); every
 input is cleared by it once, and every integer kernel reads its output:
-determinants, inverses, orientation and Cramer signs go through one
-fraction-free (Bareiss) kernel, and spans through the incremental integer
-echelon flags._IntSpan, whose rows _primitive divides by their gcd.
+determinants and orientations go through one fraction-free (Bareiss)
+kernel, _det_int, and every signed family of minors through one routine
+on it, _minors, the kernel vector of k + 1 integer rows of length k.
+_minors gives the Cramer signs of a point tuple, each row of an
+inverse's adjugate, the Cramer coefficients of frame_transform and the
+cofactor functional of point realization.  Spans go through the
+incremental integer echelon flags._IntSpan, whose rows _primitive
+divides by their gcd.
 
 >>> ori(((1, 0), (0, 1)))
 1
@@ -155,6 +160,16 @@ def det_sign_int(rows: list[list[int]]) -> int:
     return (d > 0) - (d < 0)
 
 
+def _minors(rows: list) -> list[int]:
+    """Signed maximal minors c_i = (-1)^i det(rows minus row i) of k + 1
+    integer rows of length k: the kernel vector, sum_i c_i rows_i = 0.
+
+    >>> _minors([(1, 1), (1, 0), (0, 1)])
+    [1, -1, -1]
+    """
+    return [(-1) ** i * _det_int(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
+
+
 def _cleared(m):
     """Per-row lcms of a square matrix and its rows, each cleared by _clear."""
     cleared = [_clear(r) for r in m]
@@ -204,11 +219,7 @@ def cramer_signs(vs) -> tuple[int, ...]:
 
 def _cramer_signs(ints) -> tuple[int, ...]:
     """cramer_signs of k vectors already cleared to integers, shape checked."""
-    signs = []
-    for i in range(len(ints)):
-        s = det_sign_int(ints[:i] + ints[i + 1:])
-        signs.append(-s if i % 2 else s)
-    return tuple(signs)
+    return tuple((c > 0) - (c < 0) for c in _minors(ints))
 
 
 def sig(g) -> int:
@@ -239,7 +250,9 @@ def identity(n):
 
 def mat_inv(m):
     """Exact inverse: the integer adjugate of the cleared rows over their
-    determinant, each column j rescaled by row j's denominator lcm.
+    determinant, each column j rescaled by row j's denominator lcm.  Row i
+    of the adjugate is (-1)^i times the signed minors of the cleared rows
+    with column i deleted.
 
     >>> mat_inv(((2, 1), (1, 1)))
     ((Fraction(1, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(2, 1)))
@@ -248,22 +261,23 @@ def mat_inv(m):
     d = _det_int(rows)
     if d == 0:
         raise InputError("singular matrix has no inverse")
-    k = len(rows)
-    # minors[i][j] deletes row j and column i: the adjugate is transposed
-    minors = [[_det_int([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
-               for j in range(k)] for i in range(k)]
-    return tuple(tuple(Fraction(-c * l if (i + j) % 2 else c * l, d)
-                       for j, (c, l) in enumerate(zip(minors[i], lcms)))
-                 for i in range(k))
+    out = []
+    for i in range(len(rows)):
+        adj = _minors([r[:i] + r[i + 1:] for r in rows])
+        out.append(tuple(Fraction(-c * l if i % 2 else c * l, d)
+                         for c, l in zip(adj, lcms)))
+    return tuple(out)
 
 
-def hereditarily_spanning(xs, n: int | None = None) -> bool:
-    """True iff every n-subset of the k >= n vectors spans (all dets nonzero)."""
+def hereditarily_spanning(xs) -> bool:
+    """True iff every n-subset of the k >= n vectors of dimension n spans
+    (all dets nonzero)."""
     ints = [int_vec(v) for v in xs]
     if not ints:
         raise InputError("empty tuple")
-    if n is None:
-        n = len(ints[0])
+    n = len(ints[0])
+    if any(len(v) != n for v in ints):
+        raise InputError("vectors of mixed dimension")
     if len(ints) < n:
         raise InputError(f"need at least n={n} vectors, got {len(ints)}")
     return all(det_sign_int(sub) != 0 for sub in itertools.combinations(ints, n))
@@ -284,12 +298,12 @@ def frame_transform(xs):
         raise InputError(f"frame_transform needs n+1={n + 1} vectors")
     lcms, rows = _cleared(xs[1:])
     l0, r0 = _clear(xs[0])
-    d = _det_int(rows)
-    if d == 0:
+    # the kernel vector of (x_0, x_1, ..., x_n): sum_i lam_i rows_i = 0, so
+    # sum_i c_i x_i = x_0 with c_i = -lam_{i+1} L_i / (lam_0 L_0)
+    lam = _minors([r0] + rows)
+    if lam[0] == 0:
         raise InputError("not hereditarily spanning: x_1..x_n do not span")
-    # Cramer's rule for sum_i c_i x_i = x_0 (rows standing in for columns)
-    cs = [Fraction(_det_int(rows[:i] + [r0] + rows[i + 1:]) * lcms[i], d * l0)
-          for i in range(n)]
+    cs = [Fraction(-lam[i + 1] * lcms[i], lam[0] * l0) for i in range(n)]
     if any(c == 0 for c in cs):
         raise InputError("not hereditarily spanning: x_0 has a zero coefficient over x_1..x_n")
     m = tuple(zip(*[tuple(c * x for x in col) for c, col in zip(cs, xs[1:])]))

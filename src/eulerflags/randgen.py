@@ -62,7 +62,7 @@ class RationalSampler:
         """count >= n vectors, hereditarily spanning."""
         while True:
             vs = tuple(self.nonzero_vector(n) for _ in range(count))
-            if hereditarily_spanning(vs, n):
+            if hereditarily_spanning(vs):
                 return vs
 
     def non_spanning_tuple(self, n: int, count: int):
@@ -83,7 +83,7 @@ class RationalSampler:
                 coeffs = [self.fraction() for _ in rest]
                 vs[i] = tuple(sum(c * vs[r][k] for c, r in zip(coeffs, rest))
                               for k in range(n))
-            if not is_zero_vec(vs[i]) and not hereditarily_spanning(vs, n):
+            if not is_zero_vec(vs[i]) and not hereditarily_spanning(vs):
                 return tuple(vs)
 
     def tuple_with_degeneracies(self, n: int, count: int):

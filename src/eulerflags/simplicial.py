@@ -14,10 +14,11 @@ int_vec.  Validation checks each distinct face of the complex once.
 
 The per-simplex evaluation transports all section values to a base vertex
 as the integer vectors G_bj s_j, positive multiples of g_bj s_j that no
-Cramer sign can tell apart, and feeds them, still integers, to smi (total)
-or sul_classify (needs a generic section); independence of the base vertex
-is re-verified on every simplex, and a closed chain must produce an
-integer in smillie mode.
+Cramer sign can tell apart, and feeds them, still integers, to the point
+cochains of cocycles: smi (total) or sul_classify (needs a generic
+section), both reading the Cramer signs there; independence of the base
+vertex is re-verified on every simplex, and a closed chain must produce
+an integer in smillie mode.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cocycles import smi
+from .cocycles import smi, sul_classify
 from .linalg import (
     InputError,
     PropertyViolation,
     _clear,
-    cramer_signs,
     det_sign_int,
     identity,
     int_vec,
@@ -48,26 +48,6 @@ from .linalg import (
 class NonGenericSection(InputError):
     """The sullivan mode needs every deleted determinant that touches a
     boundary-of-hull decision to be nonzero."""
-
-
-def sul_classify(vs):
-    """(value, generic): the sul value plus an exact genericity certificate.
-
-    Cramer signs s_i = (-1)^i ori(deleted i), from linalg.cramer_signs.
-    All nonzero: generic, value +-1 when they agree (origin interior) and 0
-    when they do not (origin outside).  Zeros among the signs put the origin
-    on a span of fewer vectors: still certified outside when the remaining
-    signs disagree (the kernel direction has mixed signs, so no convex
-    combination hits 0), otherwise non-generic.
-    """
-    signs = cramer_signs(vs)
-    nonzero = [s for s in signs if s]
-    if len(nonzero) == len(signs):
-        same = all(s == nonzero[0] for s in nonzero)
-        return (Fraction(nonzero[0]) if same else Fraction(0)), True
-    if nonzero and any(s != nonzero[0] for s in nonzero):
-        return Fraction(0), True
-    return Fraction(0), False
 
 
 def chain_boundary(simplices):

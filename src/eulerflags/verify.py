@@ -47,8 +47,8 @@ def _fail(failures, trial, n, input_doc, detail):
 
 # Oracles: the cochains as their definitions state them, each deleted-index
 # orientation from its own ori call, so that the closed forms in cocycles
-# (which share one linalg.cramer_signs call) are checked against an
-# independent computation.
+# (which read all n + 1 signs from one call of linalg's signed minors) are
+# checked against an independent computation.
 
 def sul_by_ori(vs) -> Fraction:
     """sul from its definition: +-1 when every (-1)^i ori(vs minus i) has
@@ -75,7 +75,7 @@ def smi_enumerated(vs) -> Fraction:
         if s:
             nonzero += 1
             total += s
-    if nonzero != (2 if hereditarily_spanning(vs, n) else 0):
+    if nonzero != (2 if hereditarily_spanning(vs) else 0):
         raise AssertionError(f"{nonzero} flip patterns see the origin inside")
     return Fraction(total, 2 ** (n + 1))
 
@@ -242,7 +242,7 @@ def _run_realize(seed, trials):
         except AssertionError as exc:
             _fail(failures, t, n, doc, f"internal assertion: {exc}")
             continue
-        if not hereditarily_spanning(xs, n):
+        if not hereditarily_spanning(xs):
             _fail(failures, t, n, doc, "output not hereditarily spanning")
             continue
         for i in range(n + 2):

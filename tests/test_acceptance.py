@@ -73,7 +73,7 @@ def test_criterion_3_proportionality():
         degenerate = 0
         for _ in range(trials):
             vs = s.tuple_with_degeneracies(n, n + 1)
-            if not hereditarily_spanning(vs, n):
+            if not hereditarily_spanning(vs):
                 degenerate += 1
             # smi as the literal average of sul over the 2^(n+1) flips
             want = smi_enumerated(vs)
@@ -147,7 +147,7 @@ def test_criterion_7_realization():
         for _ in range(trials):
             Fs = s.flags(n, n + 2)
             xs = realize_points(Fs)
-            assert hereditarily_spanning(xs, n)
+            assert hereditarily_spanning(xs)
             for i in range(n + 2):
                 for j in range(i + 1, n + 2):
                     keep = [t for t in range(n + 2) if t not in (i, j)]

@@ -53,6 +53,9 @@ def test_eval_coc_modes(tmp_path, capsys):
     rc, a = _run(capsys, ["eval", "coc", str(f)])
     rc2, b = _run(capsys, ["eval", "coc", str(f), "--mode", "naive"])
     assert rc == rc2 == 0 and a == b
+    # the naive budget is fixed (2^20 terms), not an option
+    rc, _ = _run(capsys, ["eval", "coc", str(f), "--budget-bits", "10"])
+    assert rc == 1
 
 
 def test_witness(capsys):
@@ -163,6 +166,22 @@ def test_only_linalg_clears_denominators():
                 found.append(f"{path.name}:{node.lineno}")
             if (isinstance(node, ast.ImportFrom) and node.module == "math"
                     and any(a.name in ("gcd", "lcm") for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_linalg_reads_det_int():
+    # the Bareiss kernel is private to linalg; other modules reach it
+    # through det_sign_int, det, ori or the signed minors
+    pkg = Path(eulerflags.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Name) and node.id == "_det_int")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_det_int")
+                    or (isinstance(node, ast.alias) and node.name == "_det_int")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -106,9 +106,9 @@ def test_coc_modes_agree():
 
 def test_coc_naive_budget():
     s = RationalSampler(8)
-    Fs = s.flags(4, 5)
+    Fs = s.flags(6, 7)
     with pytest.raises(InputError):
-        coc(Fs, mode="naive", budget_bits=10)  # 2^20 terms > 2^10
+        coc(Fs, mode="naive")  # 2^42 terms > 2^20, refused before any work
     with pytest.raises(InputError):
         coc(Fs, mode="upside-down")
 

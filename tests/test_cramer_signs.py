@@ -60,7 +60,7 @@ def test_closed_forms_match_oracles(n, trials):
     seen = {"spanning": 0, "degenerate": 0, "zero": 0, "nongeneric": 0}
     for t in range(trials):
         vs = s.tuple_with_degeneracies(n, n + 1)
-        spanning = hereditarily_spanning(vs, n)
+        spanning = hereditarily_spanning(vs)
         seen["spanning" if spanning else "degenerate"] += 1
         assert pcoc(vs) == pcoc_by_ori(vs)
         assert smi(vs) == smi_enumerated(vs)

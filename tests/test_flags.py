@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from eulerflags.flags import (OrientedSubspace, bracket, bracket_selections,
-                              bracket_step, flag_equal_unoriented, flagstaff,
-                              flip, make_flag)
+from eulerflags.flags import (bracket, bracket_selections,
+                              flag_equal_unoriented, flagstaff, flip,
+                              make_flag)
 from eulerflags.linalg import InputError, mat_vec, ori
 from eulerflags.randgen import RationalSampler
 
@@ -66,10 +66,6 @@ def test_bracket_pinned():
 
     std = make_flag((E1, E2))
     assert bracket((std, std)).basis == std.basis
-
-    # extending <e1> by the standard flag selects level 2
-    W1 = OrientedSubspace((E1,))
-    assert bracket_step(W1, std).basis == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_bracket_arity():

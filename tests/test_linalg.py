@@ -133,7 +133,17 @@ def test_hereditarily_spanning_pinned():
     assert not hereditarily_spanning(((1, 0), (0, 1), (1, 0)))
     assert hereditarily_spanning(((1, 1), (1, 2), (1, 3), (1, 4)))
     with pytest.raises(InputError):
-        hereditarily_spanning(((1, 0),), 2)  # k < n
+        hereditarily_spanning(((1, 0),))  # k < n
+    # n is the vectors' own dimension, which they must share
+    with pytest.raises(InputError):
+        hereditarily_spanning(((1, 0), (0, 1, 0)))
+    with pytest.raises(InputError):
+        hereditarily_spanning(((1, 0, 0), (0, 1), (1, 1)))
+    # n is not an argument, so it cannot disagree with the vectors
+    with pytest.raises(TypeError):
+        hereditarily_spanning(((1, 0), (0, 1), (1, 1)), 3)
+    with pytest.raises(TypeError):
+        hereditarily_spanning(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2)
 
 
 def test_projective_normalize_pinned():

@@ -27,7 +27,7 @@ def test_standard_flag_copies():
     std = make_flag(((1, 0), (0, 1)))
     Fs = (std,) * 4
     xs = realize_points(Fs)
-    assert hereditarily_spanning(xs, 2)
+    assert hereditarily_spanning(xs)
     _check_targets(Fs, xs, 2)
 
 
@@ -37,7 +37,7 @@ def test_random_flags(n, trials):
     for _ in range(trials):
         Fs = s.flags(n, n + 2)
         xs = realize_points(Fs)
-        assert hereditarily_spanning(xs, n)
+        assert hereditarily_spanning(xs)
         _check_targets(Fs, xs, n)
 
 

@@ -1,4 +1,5 @@
-"""sympy as a second exact oracle for the Bareiss kernel and _IntSpan.
+"""sympy as a second exact oracle for the Bareiss kernel, the signed
+minors built on it, and _IntSpan.
 
 Seeded rational matrices of size 1..5, with planted singular ones (repeated
 or combined rows, zero rows) and entries of 200+ bits, are checked against
@@ -10,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from eulerflags.flags import flag_equal_unoriented, make_flag
-from eulerflags.linalg import (InputError, det, det_sign_int, e0,
+from eulerflags.flags import (_cofactor_functional, _ell,
+                              flag_equal_unoriented, make_flag)
+from eulerflags.linalg import (InputError, _minors, det, det_sign_int, e0,
                                frame_transform, int_vec, mat_inv, mat_vec,
                                standard_basis)
 
@@ -74,6 +76,50 @@ def test_det_inverse_against_sympy():
                                              for j in range(k))
                                        for i in range(k)), m
     assert min(seen.values()) >= 70, seen
+
+
+def test_minors_against_sympy():
+    # k + 1 integer rows of length k: c_i = (-1)^i det(rows minus row i),
+    # and sum_i c_i rows_i = 0
+    rng = random.Random(20261018)
+    zero = 0
+    for t in range(300):
+        k = 1 + t % 5
+        big = t % 7 == 3
+        rows = [int_vec(r) for r in _matrix(rng, k, big)]
+        if rng.random() < 0.3:  # the extra row repeats or combines the others
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            i, j = rng.randrange(k), rng.randrange(k)
+            rows.append(tuple(a * x + b * y for x, y in zip(rows[i], rows[j])))
+        else:
+            rows.append(tuple(rng.randint(-9, 9) for _ in range(k)))
+        rng.shuffle(rows)
+        got = _minors(rows)
+        want = [(-1) ** i * int(sympy.Matrix(rows[:i] + rows[i + 1:]).det())
+                for i in range(k + 1)]
+        assert got == want, rows
+        assert all(sum(c * r[a] for c, r in zip(got, rows)) == 0
+                   for a in range(k))
+        zero += got.count(0)
+    assert zero >= 50, zero
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_cofactor_functional_against_sympy(n):
+    # ell(x) = det(basis..., x) for n - 1 rational basis rows
+    rng = random.Random(31 + n)
+    dependent = 0
+    for t in range(40):
+        basis = [tuple(_entry(rng, t % 5 == 2) for _ in range(n))
+                 for _ in range(n - 1)]
+        if t % 4 == 1 and n > 2:    # a dependent basis: ell vanishes
+            basis[0] = basis[-1]
+        coeffs = _cofactor_functional(tuple(basis))
+        dependent += not any(coeffs)
+        for _ in range(3):
+            x = tuple(_entry(rng, False) for _ in range(n))
+            assert _ell(coeffs, x) == _to_fraction(_sym(basis + [x]).det())
+    assert dependent >= (5 if n > 2 else 0), dependent
 
 
 @pytest.mark.parametrize("n", [2, 4])
