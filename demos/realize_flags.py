@@ -9,9 +9,9 @@ s = RationalSampler(11)
 Fs = s.flags(2, 4)
 xs = realize_points(Fs)
 
-print("points:")
+print("points (primitive integer vectors):")
 for x in xs:
-    print("   ", tuple(str(c) for c in x))
+    print("   ", x)
 print("hereditarily spanning:", hereditarily_spanning(xs))
 
 checks = 0

@@ -16,13 +16,10 @@ bracket(g . Fs) on the nose.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 from .linalg import (
     InputError,
     PropertyViolation,
-    _clear,
     _minors,
     _primitive,
     det_sign_int,
@@ -178,37 +175,45 @@ def bracket(Fs) -> OrientedSubspace:
 # Point realization: flags -> points with matching deleted-pair orientations.
 
 
-def _cofactor_functional(basis):
-    # x |-> det(rows: basis..., x) as a coefficient vector; basis has n-1 rows,
-    # cleared once: expanding along the last row, coefficient c is
-    # (-1)^(n-1) times the c-th signed minor of the transposed integer rows,
-    # over the product of the row lcms
-    n = len(basis[0])
-    if len(basis) != n - 1:
+def _cofactor_functional(rows) -> list[int]:
+    # x |-> det(rows..., x) as an integer coefficient vector for n - 1
+    # integer rows of length n: expanding along the last row, coefficient c
+    # is (-1)^(n-1) times the c-th signed minor of the transposed rows
+    n = len(rows[0])
+    if len(rows) != n - 1:
         raise PropertyViolation("cofactor functional needs n - 1 basis vectors")
-    lcms, rows = zip(*map(_clear, basis))
-    den = math.prod(lcms)
-    return tuple(Fraction(m if n % 2 else -m, den)
-                 for m in _minors(list(zip(*rows))))
+    return [m if n % 2 else -m for m in _minors(list(zip(*rows)))]
 
 
-def _ell(coeffs, x) -> Fraction:
-    return sum(c * xi for c, xi in zip(coeffs, x))
+def _dot(m, x) -> int:
+    return sum(a * b for a, b in zip(m, x))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 def realize_points(Fs):
     """Points x_0..x_{n+1} whose deleted-pair orientations all agree with the
-    deleted-pair bracket orientations of the given n+2 flags.
+    deleted-pair bracket orientations of the given n+2 flags, as primitive
+    integer vectors (orientations are invariant under positive rescaling).
 
     Downward induction, x_{n+1} first: at stage k the pairs not containing k
     give one hyperplane each (bracket of the flags below k minus the deleted
-    pair, padded with the already-found points above k), and x_k is produced
-    by walking from the origin along the basis of F_k with exact step sizes
-    small enough to never re-cross a hyperplane once left.  Each constraint
-    sign is therefore decided at the level where its hyperplane ker ell is
-    first left, and equals sign ell(w) for F_k's lowest w off it: the
-    bracket-extension orientation.  Every stage's sides and the quadratic-pair
-    postcondition are checked before returning (PropertyViolation).
+    pair, padded with the already-found points above k), taken as the
+    integer minor vector m of those rows (the flags' integer vectors at the
+    selected levels and the integer points), a positive multiple of the
+    functional x |-> det(basis, x).  x_k is produced by walking from the
+    origin along F_k's integer vectors w (positive multiples of its basis)
+    with dyadic steps 2^-t <= min |m.y| / (2(|m.w| + 1)), at most 1; y is
+    kept as Y / 2^e with Y an integer vector.  Such a step moves m.y by less
+    than half of |m.y|, whatever the positive scale of m, so a hyperplane
+    once left is never re-crossed: each constraint sign is decided at the
+    level where its hyperplane is first left, and equals sign m.w for F_k's
+    lowest w off it, the bracket-extension orientation.  x_k is Y divided
+    by the gcd of its entries.  Every stage's sides and the quadratic-pair
+    postcondition (independent bracket and ori) are checked before
+    returning (PropertyViolation).
     """
     Fs = tuple(Fs)
     if not Fs:
@@ -217,36 +222,42 @@ def realize_points(Fs):
     if len(Fs) != n + 2 or any(F.n != n for F in Fs):
         raise InputError(f"realize_points needs n+2={n + 2} flags of dimension n={n}")
 
-    pts: dict[int, tuple[Fraction, ...]] = {}
+    pts: dict[int, tuple[int, ...]] = {}
     for k in range(n + 1, -1, -1):
         others = [a for a in range(n + 2) if a != k]
         constraints = []
         for i, j in itertools.combinations(others, 2):
             flagpart = [Fs[a] for a in range(k) if a not in (i, j)]
-            pointpart = [pts[b] for b in range(k + 1, n + 2) if b not in (i, j)]
-            vbasis = (tuple(bracket(flagpart).basis) if flagpart else ()) + tuple(pointpart)
-            coeffs = _cofactor_functional(vbasis)
-            if not any(coeffs):
+            levels = bracket_selections(flagpart)[1] if flagpart else ()
+            rows = [F.ints[d] for F, d in zip(flagpart, levels)]
+            rows += [pts[b] for b in range(k + 1, n + 2) if b not in (i, j)]
+            m = _cofactor_functional(rows)
+            if not any(m):
                 raise PropertyViolation("constraint subspace is not a hyperplane")
-            # V = ker ell; the bracket extension of V by F_k appends F_k's
-            # lowest w off V, and ori(vbasis + (w,)) = sign ell(w) by
-            # cofactor expansion
-            s = next(x for x in (_ell(coeffs, w) for w in Fs[k].basis) if x)
-            constraints.append((coeffs, (s > 0) - (s < 0)))
+            # V = ker m; the bracket extension of V by F_k appends F_k's
+            # lowest w off V, and ori(rows + (w,)) = sign m.w by cofactor
+            # expansion
+            s = next(x for x in (_dot(m, w) for w in Fs[k].ints) if x)
+            constraints.append((m, _sign(s)))
 
-        y = tuple(Fraction(0) for _ in range(n))
-        for lev in range(n):
-            wd = Fs[k].basis[lev]
-            deltas = [abs(ly) / (2 * (abs(_ell(coeffs, wd)) + 1))
-                      for coeffs, _ in constraints
-                      if (ly := _ell(coeffs, y)) != 0]
-            delta = min(deltas) if deltas else Fraction(1)
-            y = tuple(a + delta * b for a, b in zip(y, wd))
-        for coeffs, target in constraints:
-            s = _ell(coeffs, y)
-            if ((s > 0) - (s < 0)) != target:
+        Y, e = (0,) * n, 0
+        for w in Fs[k].ints:
+            # smallest t >= 0 with 2^(e+1) (|m.w| + 1) <= 2^t |m.Y| for
+            # every constraint that Y is off
+            t = 0
+            for m, _ in constraints:
+                a = abs(_dot(m, Y))
+                if a:
+                    need = (abs(_dot(m, w)) + 1) << (e + 1)
+                    tc = max(0, need.bit_length() - a.bit_length())
+                    t = max(t, tc + ((a << tc) < need))
+            top = max(e, t)
+            Y = tuple((y << (top - e)) + (x << (top - t)) for y, x in zip(Y, w))
+            e = top
+        for m, target in constraints:
+            if _sign(_dot(m, Y)) != target:
                 raise PropertyViolation(f"point x_{k} is on the wrong side of a constraint")
-        pts[k] = y
+        pts[k] = _primitive(Y)
 
     out = tuple(pts[a] for a in range(n + 2))
     for i, j in itertools.combinations(range(n + 2), 2):

@@ -73,8 +73,12 @@ def is_zero_vec(v) -> bool:
 def _clear(xs) -> tuple[int, tuple[int, ...]]:
     """(L, ints): the positive lcm L of the denominators of xs and the
     entries numerator * (L // denominator), so that ints = L * xs exactly.
-    Entries that are not int or Fraction go through fr (strings parse,
-    floats raise InputError)."""
+    All-int input is returned as is, with L = 1.  Other entries that are
+    not int or Fraction go through fr (strings parse, floats raise
+    InputError)."""
+    xs = tuple(xs)
+    if all(type(x) is int for x in xs):
+        return 1, xs
     xs = [x if isinstance(x, (int, Fraction)) else fr(x) for x in xs]
     den = math.lcm(*[x.denominator for x in xs])
     return den, tuple(x.numerator * (den // x.denominator) for x in xs)
@@ -199,26 +203,13 @@ def ori(vs) -> int:
     return det_sign_int(_cleared(vs)[1])
 
 
-def cramer_signs(vs) -> tuple[int, ...]:
-    """Cramer signs s_i = (-1)^i ori(vs minus i) of n+1 vectors in dimension n.
+def _cramer_signs(ints) -> tuple[int, ...]:
+    """Cramer signs s_i = (-1)^i ori(vs minus i) of n + 1 vectors in
+    dimension n, already cleared to integers and shape checked.
 
-    Each vector's denominators are cleared once and shared by all n+1
-    deleted-index determinants.
-
-    >>> cramer_signs(((1, 1), (1, 0), (0, 1)))
+    >>> _cramer_signs(((1, 1), (1, 0), (0, 1)))
     (1, -1, -1)
     """
-    ints = [int_vec(v) for v in vs]
-    k = len(ints)
-    for v in ints:
-        if len(v) != k - 1:
-            raise InputError(f"cramer_signs needs {k} vectors of dimension {k - 1}, "
-                             f"got one of dimension {len(v)}")
-    return _cramer_signs(ints)
-
-
-def _cramer_signs(ints) -> tuple[int, ...]:
-    """cramer_signs of k vectors already cleared to integers, shape checked."""
     return tuple((c > 0) - (c < 0) for c in _minors(ints))
 
 

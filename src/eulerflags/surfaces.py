@@ -7,8 +7,8 @@ side 4t+1 to 4t+3, reversing the boundary parameter (u -> 1-u).  Each side
 is split into three arcs by two midpoints, and inside sit a ring of 12g
 vertices plus a center, giving 36g counterclockwise triangles.  All polygon
 corners form a single vertex class; the side midpoints pair up into 4g
-classes; with the interior that is 16g + 2 vertices, 48g + 12g edges and
-36g triangles — Euler characteristic 2 - 2g.
+classes; with the interior that is 16g + 2 vertices, 54g edges and 36g
+triangles — Euler characteristic 2 - 2g.
 
 Transitions.  Every raw boundary position p carries a word delta(p) in the
 free group on a_t, b_t transporting the preferred copy of its class to p;

@@ -14,8 +14,9 @@ from eulerflags.cocycles import (coboundary, coc, coco,
                                  coboundary_kill_witness, obstruction_witness,
                                  pcoc, smi, sul)
 from eulerflags.flags import (bracket, flag_equal_unoriented, flagstaff,
-                              realize_points)
-from eulerflags.linalg import det, hereditarily_spanning, identity, ori
+                              make_flag, realize_points)
+from eulerflags.linalg import (det, det_sign_int, hereditarily_spanning,
+                               identity, ori)
 from eulerflags.montecarlo import itu_estimate
 from eulerflags.randgen import RationalSampler
 from eulerflags.simplicial import (FlatBundleComplex, NonGenericSection,
@@ -141,11 +142,34 @@ def test_criterion_6_witness_matrices():
                "fix the other n flags exactly")
 
 
+def _pool_flags(rng, n):
+    """n + 2 flags whose bases are drawn from one pool of n + 3 vectors in
+    {-1, 0, 1}^n: shared and repeated lines make the brackets non-generic."""
+    pool = []
+    while len(pool) < n + 3:
+        v = tuple(rng.randint(-1, 1) for _ in range(n))
+        if any(v):
+            pool.append(v)
+    Fs = []
+    while len(Fs) < n + 2:
+        basis = [tuple(rng.choice((1, -1)) * x for x in v)
+                 for v in rng.sample(pool, n)]
+        if det_sign_int(basis):
+            Fs.append(make_flag(basis))
+    return tuple(Fs)
+
+
 def test_criterion_7_realization():
-    for n, trials, seed in ((2, 100, 50), (4, 20, 51)):
+    rng = random.Random(11)
+    cases = {}
+    for n, trials, seed in ((2, 100, 50), (4, 100, 51), (6, 10, 52)):
         s = RationalSampler(seed)
-        for _ in range(trials):
-            Fs = s.flags(n, n + 2)
+        cases[f"n={n}"] = [s.flags(n, n + 2) for _ in range(trials)]
+    for n, trials in ((2, 100), (4, 100)):
+        cases[f"n={n} pool"] = [_pool_flags(rng, n) for _ in range(trials)]
+    for tuples in cases.values():
+        for Fs in tuples:
+            n = Fs[0].n
             xs = realize_points(Fs)
             assert hereditarily_spanning(xs)
             for i in range(n + 2):
@@ -153,8 +177,9 @@ def test_criterion_7_realization():
                     keep = [t for t in range(n + 2) if t not in (i, j)]
                     assert ori([xs[t] for t in keep]) \
                         == ori(bracket([Fs[t] for t in keep]).basis)
+    counts = ", ".join(f"{len(v)} ({k})" for k, v in cases.items())
     _report(7, "realize_points passes all C(n+2,2) orientation equalities "
-               "on 100 (n=2) + 20 (n=4) random flag tuples")
+               f"on random flag tuples: {counts}")
 
 
 def _rotate_bases(bundle, rng):

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eulerflags import linalg
@@ -93,6 +94,13 @@ def test_clear_matches_fraction_definition():
     assert kinds == {"zero", "int", "fraction", "str"}
     assert _clear(()) == (1, ())
     assert _clear((Fraction(-3, 4), 0, -2)) == (4, (-3, 0, -8))
+    # all-int input comes back as is; bool and numpy entries still clear
+    ints = (5, -7, 0, 2 ** 200)
+    assert _clear(ints) == (1, ints) and _clear(list(ints)) == (1, ints)
+    got = _clear((True, False, -2))
+    assert got == (1, (1, 0, -2)) and all(type(x) is int for x in got[1])
+    assert _clear((True, np.int64(3), -2)) == (1, (1, 3, -2))
+    assert _clear((True, Fraction(1, 2), np.int64(-3))) == (2, (2, 1, -6))
     with pytest.raises(InputError):
         _clear((Fraction(1, 2), 0.25))
 

@@ -3,7 +3,7 @@ target must be hit exactly, and the output must span hereditarily."""
 
 import hashlib
 import json
-from types import SimpleNamespace
+import math
 
 import pytest
 
@@ -31,7 +31,7 @@ def test_standard_flag_copies():
     _check_targets(Fs, xs, 2)
 
 
-@pytest.mark.parametrize("n,trials", [(2, 30), (4, 5)])
+@pytest.mark.parametrize("n,trials", [(2, 30), (4, 5), (6, 3)])
 def test_random_flags(n, trials):
     s = RationalSampler(101 + n)
     for _ in range(trials):
@@ -39,6 +39,19 @@ def test_random_flags(n, trials):
         xs = realize_points(Fs)
         assert hereditarily_spanning(xs)
         _check_targets(Fs, xs, n)
+
+
+@pytest.mark.parametrize("n,trials", [(4, 20), (6, 10)])
+def test_outputs_are_small_primitive_integers(n, trials):
+    # dyadic steps and gcd-divided points keep every coordinate within
+    # 16 n bits
+    s = RationalSampler(300 + n)
+    for _ in range(trials):
+        xs = realize_points(s.flags(n, n + 2))
+        for x in xs:
+            assert all(type(c) is int for c in x)
+            assert math.gcd(*x) == 1
+            assert max(abs(c).bit_length() for c in x) <= 16 * n
 
 
 def test_spanning_flagstaff_targets():
@@ -61,26 +74,27 @@ def test_arity_check():
         realize_points((std, std, std))  # needs n+2 flags
 
 
-# sha256 of the exact outputs ("p/q" strings) on seeded tuples, recorded
-# before realize_points took its constraint targets from the cofactor
-# functionals: the construction must not change a single coordinate.
+# sha256 of the exact outputs (decimal strings of the primitive integer
+# coordinates) on seeded tuples, recorded when realize_points moved to
+# integer functionals and dyadic steps: the construction must not change a
+# single coordinate.
 REALIZE_PINS = {
     (2, 100): [
-        "c8666523fa6e1c6b9a0ef634c2785cffb6edb6aea37024434012da5b32eff3eb",
-        "84cfd2551ccbd7947623e888bdbcbd4626f9eb500440fa0cf1329657b24758b9",
-        "a1334d9196d00059d827bbc2f0fdf0b6b18ca52b671a0b200fae0e99b561eefb",
-        "d0dd652040b9f0b294bda6631fe543460ffa6203169b7f46e97fd1f980d95dbb",
-        "6b09137ee200e61d458393f1ef1f77c39b17c5b56ffe4761991f5d5e64807652",
-        "5632d4c173c7b089f4d320da27d63308582078a798a3fcc5d7c7e4e2b14e699a",
-        "94d65b36757b2b8793db39e4f7659869aba619beab29fe3c38847b1096d56a72",
-        "e4167634b51760b7c2040a8164494e2c1d7a9393f94f0e81bbc51261a70f4bd8",
-        "7db5c68dedf27767fa0baca418c459840446191c683bb11dd94d1ffd9218d855",
-        "87e011cd7beaf699e7506bb70c422477d0ab3fd5ec2ed32ffc71ad46efd81b06",
+        "52f4f0704973595647fc2348e0b58c75e9a7361cc3cfb98abbc40c6c9fc7e9c0",
+        "591688f1632463b3dca25d4e706988d122df4dbac8aa945d7a9932334ddb853b",
+        "c4bc2e90e9df6e325721e963d48ab25630d18c6a380967a059ef6cb44d09fc0c",
+        "5ccefe03cbbe9e59901cbfb6daffe7a28a019337f3d8080f85eb0e8fe6ca9e4a",
+        "65c2ce9cb42651a924e3ec9250dccb53da6ca8908c975a1179140a254c9eda28",
+        "3fccf463d74a0136fcd5786ac0adff5df634842bbd8facbe3b65def099557896",
+        "64eb1e30f2788500d01a1841fb2103b9a40639dfa2a1837b78a44424978a953d",
+        "0e582435d4aaf21ca980e5cf8851ea5f42c8be6938295d3e82e08e67f144255a",
+        "7f7df67ae144c05707c37a67600dcc4dcccbc48f5d1e911523e04d09f10e0818",
+        "b07c788d370295cac6714ef1242b65e90700576bc797c7d9f961ec1366ed7146",
     ],
     (4, 3): [
-        "aba02ae9d0790abe60abb08ae577da43c411560c290a507aa69bd5dd0f1afdee",
-        "8a79903093b7fefd5e4edb90dea67d643d1b16de1a878199fe639285a3b73535",
-        "7b53d443e948f3d8ee5b620b38c542e31a64195889fef27e8e24ed4bca79f6b2",
+        "0c67e2ce241ac8089ea4939b37e9e1495ee41c08853d71779268b4907f94eb75",
+        "0650f3331911b2acb3cb1ad0b5ddd0f7a0f6fb514bad39e593968bc4d8870d74",
+        "1a8b0c0d8ad8b61bc572959fe05b3631fe43350d5a0d092b7f7f8641282f6238",
     ],
 }
 
@@ -96,9 +110,11 @@ def test_outputs_pinned(n, m):
 
 def test_dependent_constraint_basis_is_an_invariant_violation(monkeypatch):
     # a bracket that failed to be independent is the library's fault, not
-    # the caller's: realize_points reports it as a PropertyViolation
-    monkeypatch.setattr(flags, "bracket", lambda Fs: SimpleNamespace(
-        basis=tuple((0, 0) for _ in Fs)))
-    std = make_flag(((1, 0), (0, 1)))
+    # the caller's: realize_points reports it as a PropertyViolation.  At
+    # n = 4 a constraint brackets up to three flags; selecting the same
+    # level of equal flags makes its rows dependent.
+    monkeypatch.setattr(flags, "bracket_selections",
+                        lambda Fs: (None, (0,) * len(Fs)))
+    std = make_flag(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     with pytest.raises(PropertyViolation, match="not a hyperplane"):
-        realize_points((std,) * 4)
+        realize_points((std,) * 6)

@@ -1,6 +1,7 @@
 """Genus-g fixture bundles and the reference representations."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -35,8 +36,10 @@ def test_combinatorics(g):
     b = genus_surface_bundle([I2] * (2 * g))
     assert b.vertices == 16 * g + 2
     assert len(b.simplices) == 36 * g
-    edges = len(b.simplices) * 3 // 2
-    assert b.vertices - edges + len(b.simplices) == 2 - 2 * g
+    edges = {frozenset(e) for verts, _ in b.simplices
+             for e in itertools.combinations(verts, 2)}
+    assert len(edges) == 54 * g
+    assert b.vertices - len(edges) + len(b.simplices) == 2 - 2 * g
     assert chain_boundary(b.simplices) == {}
 
 

@@ -6,16 +6,17 @@ or combined rows, zero rows) and entries of 200+ bits, are checked against
 sympy's det, inv, LUsolve and rank.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from eulerflags.flags import (_cofactor_functional, _ell,
-                              flag_equal_unoriented, make_flag)
-from eulerflags.linalg import (InputError, _minors, det, det_sign_int, e0,
-                               frame_transform, int_vec, mat_inv, mat_vec,
-                               standard_basis)
+from eulerflags.flags import (_cofactor_functional, flag_equal_unoriented,
+                              make_flag)
+from eulerflags.linalg import (InputError, _clear, _minors, det,
+                               det_sign_int, e0, frame_transform, int_vec,
+                               mat_inv, mat_vec, standard_basis)
 
 sympy = pytest.importorskip("sympy")
 
@@ -106,19 +107,23 @@ def test_minors_against_sympy():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_cofactor_functional_against_sympy(n):
-    # ell(x) = det(basis..., x) for n - 1 rational basis rows
+    # for n - 1 rational basis rows cleared to integers with row lcms L_r,
+    # the integer functional m satisfies m.x = (prod L_r) det(basis..., x)
     rng = random.Random(31 + n)
     dependent = 0
     for t in range(40):
         basis = [tuple(_entry(rng, t % 5 == 2) for _ in range(n))
                  for _ in range(n - 1)]
-        if t % 4 == 1 and n > 2:    # a dependent basis: ell vanishes
+        if t % 4 == 1 and n > 2:    # a dependent basis: m vanishes
             basis[0] = basis[-1]
-        coeffs = _cofactor_functional(tuple(basis))
-        dependent += not any(coeffs)
+        lcms, rows = zip(*map(_clear, basis))
+        m = _cofactor_functional(list(rows))
+        assert all(type(c) is int for c in m)
+        dependent += not any(m)
         for _ in range(3):
             x = tuple(_entry(rng, False) for _ in range(n))
-            assert _ell(coeffs, x) == _to_fraction(_sym(basis + [x]).det())
+            assert sum(c * xi for c, xi in zip(m, x)) \
+                == math.prod(lcms) * _to_fraction(_sym(basis + [x]).det())
     assert dependent >= (5 if n > 2 else 0), dependent
 
 
