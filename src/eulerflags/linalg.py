@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 
 
@@ -52,6 +53,8 @@ def fr(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise InputError(f"refusing to coerce float {x!r} to an exact rational")
+    if type(x) is not int and isinstance(x, numbers.Integral):
+        x = int(x)  # a numpy integer would stay fixed width inside Fraction
     return Fraction(x)
 
 

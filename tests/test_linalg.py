@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eulerflags import linalg
+from eulerflags import cocycles, linalg
 from eulerflags.linalg import (InputError, OddDimensionError, _clear, det, e0,
                                frame_transform, hereditarily_spanning,
                                int_vec, mat_vec, ori, primitive_int_vec,
@@ -94,15 +94,35 @@ def test_clear_matches_fraction_definition():
     assert kinds == {"zero", "int", "fraction", "str"}
     assert _clear(()) == (1, ())
     assert _clear((Fraction(-3, 4), 0, -2)) == (4, (-3, 0, -8))
-    # all-int input comes back as is; bool and numpy entries still clear
+    # all-int input comes back as is; bool and numpy entries clear to ints
     ints = (5, -7, 0, 2 ** 200)
     assert _clear(ints) == (1, ints) and _clear(list(ints)) == (1, ints)
-    got = _clear((True, False, -2))
-    assert got == (1, (1, 0, -2)) and all(type(x) is int for x in got[1])
-    assert _clear((True, np.int64(3), -2)) == (1, (1, 3, -2))
-    assert _clear((True, Fraction(1, 2), np.int64(-3))) == (2, (2, 1, -6))
+    for xs, want in (((True, False, -2), (1, (1, 0, -2))),
+                     ((True, np.int64(3), -2), (1, (1, 3, -2))),
+                     ((True, Fraction(1, 2), np.int64(-3)), (2, (2, 1, -6))),
+                     ((np.uint8(7), np.int32(-5)), (1, (7, -5)))):
+        got = _clear(xs)
+        assert got == want and all(type(x) is int for x in got[1])
     with pytest.raises(InputError):
         _clear((Fraction(1, 2), 0.25))
+
+
+def test_numpy_integers_become_python_ints():
+    # kept as numpy scalars, entries this size would overflow int64
+    big = np.int64(2 ** 40)
+    assert det(((big, 1), (1, big))) == Fraction(2 ** 80 - 1)
+    assert all(type(x.numerator) is int for x in linalg.vec((big, np.int8(-3))))
+    assert all(type(x.numerator) is int for r in linalg.mat(((big,), (1,)))
+               for x in r)
+    rng = random.Random(19)
+    for n in (2, 4):
+        for _ in range(10):
+            pts = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(n)]
+                   for _ in range(n + 1)]
+            want = cocycles.pcoc(pts)
+            assert cocycles.pcoc([[np.int64(x) for x in p] for p in pts]) == want
+    assert cocycles.pcoc(((np.int64(1), 0), (0, np.int64(1)), (1, 1))) \
+        == cocycles.pcoc(((1, 0), (0, 1), (1, 1)))
 
 
 @pytest.mark.parametrize("n", [2, 4])
