@@ -49,10 +49,10 @@ from .linalg import (
     det,
     det_sign_int,
     e0,
+    identity,
     int_vec,
     mat,
     require_even,
-    standard_basis,
 )
 from .flags import (
     OrientedFlag,
@@ -241,7 +241,7 @@ def obstruction_witness(n: int):
     """The tuple (e_0, e_1, ..., e_n, e_1+e_2) with d pcoc evaluated on it:
     zero for n = 2 and nonzero for every even n >= 4."""
     require_even(n)
-    e = standard_basis(n)
+    e = identity(n)
     pts = (e0(n),) + e + (tuple(a + b for a, b in zip(e[0], e[1])),)
     return pts, coboundary(pcoc, pts)
 
@@ -252,7 +252,7 @@ def coboundary_kill_witness(n: int):
     fixes every F_j with j != i as an unoriented flag.  Every assertion is
     checked exactly before returning."""
     require_even(n)
-    symbols = (e0(n),) + standard_basis(n)
+    symbols = (e0(n),) + identity(n)
     flags = tuple(make_flag([symbols[(i + t) % (n + 1)] for t in range(n)])
                   for i in range(n + 1))
 

@@ -4,12 +4,13 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples acting on
 column vectors.  Everything here is decided exactly, with no tolerance.
 The one clearing rule, _clear, maps rationals to the positive lcm L of
 their denominators and the integers numerator * (L // denominator); every
-input is cleared by it once, and every integer kernel reads its output:
-determinants and orientations go through one fraction-free (Bareiss)
-kernel, _det_int, and every signed family of minors through one routine
-on it, _minors, the kernel vector of k + 1 integer rows of length k.
-_minors gives the Cramer signs of a point tuple, each row of an
-inverse's adjugate, the Cramer coefficients of frame_transform and the
+input is cleared by it once (a square matrix as one vector, by
+_clear_matrix), and every integer kernel reads its output: determinants
+and orientations go through one fraction-free (Bareiss) kernel, _det_int,
+and every signed family of minors through one routine on it, _minors, the
+kernel vector of k + 1 integer rows of length k.  _minors gives the
+Cramer signs of a point tuple, the adjugate rows of the one cleared
+inverse, _inverse, the Cramer coefficients of frame_transform and the
 cofactor functional of point realization.  Spans go through the
 incremental integer echelon flags._IntSpan, whose rows _primitive
 divides by their gcd.
@@ -177,14 +178,34 @@ def _minors(rows: list) -> list[int]:
     return [(-1) ** i * _det_int(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
 
 
-def _cleared(m):
-    """Per-row lcms of a square matrix and its rows, each cleared by _clear."""
-    cleared = [_clear(r) for r in m]
-    k = len(cleared)
-    for _, r in cleared:
+def _clear_matrix(m):
+    """(L, rows) of a square matrix: its entries cleared together by _clear,
+    so that rows = L * m with L the positive lcm of all its denominators."""
+    m = tuple(tuple(r) for r in m)
+    k = len(m)
+    for r in m:
         if len(r) != k:
             raise InputError(f"expected {k} rows of length {k}, got one of length {len(r)}")
-    return [lcm for lcm, _ in cleared], [r for _, r in cleared]
+    den, flat = _clear([x for r in m for x in r])
+    return den, tuple(flat[i:i + k] for i in range(0, k * k, k))
+
+
+def _inverse(den, rows):
+    """_clear_matrix of the inverse of rows / den: den times the integer
+    adjugate (row i is (-1)^i _minors of the rows without column i) over
+    the determinant, all reduced by their gcd.
+
+    >>> _inverse(2, ((2, 0), (0, 4)))
+    (2, ((2, 0), (0, 1)))
+    """
+    d = _det_int(rows)
+    if d == 0:
+        raise InputError("singular matrix has no inverse")
+    s = den if d > 0 else -den
+    adj = [[(-1) ** i * s * c for c in _minors([r[:i] + r[i + 1:] for r in rows])]
+           for i in range(len(rows))]
+    g = math.gcd(d, *itertools.chain(*adj))
+    return abs(d) // g, tuple(tuple(x // g for x in r) for r in adj)
 
 
 def det(m) -> Fraction:
@@ -193,8 +214,8 @@ def det(m) -> Fraction:
     >>> det(((2, 1), (1, 3)))
     Fraction(5, 1)
     """
-    lcms, rows = _cleared(m)
-    return Fraction(_det_int(rows), math.prod(lcms))
+    den, rows = _clear_matrix(m)
+    return Fraction(_det_int(rows), den ** len(rows))
 
 
 def ori(vs) -> int:
@@ -203,7 +224,7 @@ def ori(vs) -> int:
     The vectors are the columns of the matrix; det is transpose-invariant so
     they can be eliminated as rows directly.
     """
-    return det_sign_int(_cleared(vs)[1])
+    return det_sign_int(_clear_matrix(vs)[1])
 
 
 def _cramer_signs(ints) -> tuple[int, ...]:
@@ -243,24 +264,13 @@ def identity(n):
 
 
 def mat_inv(m):
-    """Exact inverse: the integer adjugate of the cleared rows over their
-    determinant, each column j rescaled by row j's denominator lcm.  Row i
-    of the adjugate is (-1)^i times the signed minors of the cleared rows
-    with column i deleted.
+    """Exact inverse, as Fractions of _inverse of the cleared matrix.
 
     >>> mat_inv(((2, 1), (1, 1)))
     ((Fraction(1, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(2, 1)))
     """
-    lcms, rows = _cleared(m)
-    d = _det_int(rows)
-    if d == 0:
-        raise InputError("singular matrix has no inverse")
-    out = []
-    for i in range(len(rows)):
-        adj = _minors([r[:i] + r[i + 1:] for r in rows])
-        out.append(tuple(Fraction(-c * l if i % 2 else c * l, d)
-                         for c, l in zip(adj, lcms)))
-    return tuple(out)
+    den, rows = _inverse(*_clear_matrix(m))
+    return tuple(tuple(Fraction(x, den) for x in r) for r in rows)
 
 
 def hereditarily_spanning(xs) -> bool:
@@ -290,22 +300,18 @@ def frame_transform(xs):
     require_even(n)
     if len(xs) != n + 1:
         raise InputError(f"frame_transform needs n+1={n + 1} vectors")
-    lcms, rows = _cleared(xs[1:])
+    den, rows = _clear_matrix(xs[1:])
     l0, r0 = _clear(xs[0])
     # the kernel vector of (x_0, x_1, ..., x_n): sum_i lam_i rows_i = 0, so
-    # sum_i c_i x_i = x_0 with c_i = -lam_{i+1} L_i / (lam_0 L_0)
-    lam = _minors([r0] + rows)
+    # sum_i c_i x_i = x_0 with c_i = -lam_{i+1} L / (lam_0 L_0)
+    lam = _minors((r0,) + rows)
     if lam[0] == 0:
         raise InputError("not hereditarily spanning: x_1..x_n do not span")
-    cs = [Fraction(-lam[i + 1] * lcms[i], lam[0] * l0) for i in range(n)]
+    cs = [Fraction(-lam[i + 1] * den, lam[0] * l0) for i in range(n)]
     if any(c == 0 for c in cs):
         raise InputError("not hereditarily spanning: x_0 has a zero coefficient over x_1..x_n")
     m = tuple(zip(*[tuple(c * x for x in col) for c, col in zip(cs, xs[1:])]))
     return mat_inv(m)
-
-
-def standard_basis(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def e0(n):

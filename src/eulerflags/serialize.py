@@ -5,8 +5,8 @@ arrays of those.  JSON floats are not rationals: parse_rational rejects them
 with InputError("not a rational: ..."), bundle transitions included.
 Point tuples:   { "n": int, "points": [[rational, ...], ...] }
 Flag tuples:    { "n": int, "flags": [[[rational, ...], ...], ...] }
-Bundles:        { "n", "vertices", "simplices": [{"v": [...], "c": int}],
-                  "transitions": [{"i", "j", "g": [[...], ...]}],
+Bundles:        { "n", "vertices": int, "simplices": [{"v": [int, ...], "c": int}],
+                  "transitions": [{"i": int, "j": int, "g": [[...], ...]}],
                   "section": [[...], ...], "tol": rational (optional) }
 Matrix tuples:  { "n": int, "gs": [[[number, ...], ...], ...] }  (floats ok)
 """
@@ -92,9 +92,8 @@ def load_bundle(doc):
 
     n = _get(doc, "n")
     vertices = _get(doc, "vertices")
-    simplices = [(tuple(int(v) for v in _get(s, "v")), int(_get(s, "c")))
-                 for s in _get(doc, "simplices")]
-    transitions = {(int(_get(t, "i")), int(_get(t, "j"))): parse_matrix(_get(t, "g"))
+    simplices = [(_get(s, "v"), _get(s, "c")) for s in _get(doc, "simplices")]
+    transitions = {(_get(t, "i"), _get(t, "j")): parse_matrix(_get(t, "g"))
                    for t in _get(doc, "transitions")}
     section = [parse_vector(s) for s in _get(doc, "section")]
     tol = parse_rational(doc.get("tol", 0))

@@ -4,13 +4,16 @@ A bundle is vertex-pair transition data: for every ordered pair inside a
 common top simplex, an exact rational matrix of positive determinant, with
 g_ii = Id, g_ij g_ji = Id, and the per-simplex cocycle rule g_ij g_jk = g_ik
 validated exactly.  A section assigns a nonzero vector to each vertex in the
-vertex's own trivialization.
+vertex's own trivialization.  Vertex counts and indices, transition keys
+and chain coefficients must be integers.
 
 Everything after construction runs on integers cleared once by linalg's
-clearing rule: each transition, on first use, as (L_ij, G_ij = L_ij g_ij)
-with L_ij the positive lcm of its denominators (a direction stored only as
-its reverse is built from mat_inv first), and each section vector as its
-int_vec.  Validation checks each distinct face of the complex once.
+clearing rule: each stored transition, on first use, as (L_ij, G_ij =
+L_ij g_ij) with L_ij the positive lcm of its denominators, a direction
+stored only as its reverse as the _inverse of the stored pair, and each
+section vector as its int_vec.  The read-only transitions are validated
+once, each distinct face of the complex once; a section change shares
+them and their cleared pairs, and a gauge move composes cleared integers.
 
 The per-simplex evaluation transports all section values to a base vertex
 as the integer vectors G_bj s_j, positive multiples of g_bj s_j that no
@@ -23,24 +26,26 @@ an integer in smillie mode.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import numbers
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cocycles import smi, sul_classify
 from .linalg import (
     InputError,
     PropertyViolation,
-    _clear,
+    _clear_matrix,
+    _inverse,
     det_sign_int,
     identity,
     int_vec,
     is_zero_vec,
     mat,
-    mat_inv,
     mat_mul,
     mat_vec,
     require_even,
-    sig,
     vec,
 )
 
@@ -93,50 +98,60 @@ def _close(a, da, b, db, tol):
     return all(q * abs(x * db - y * da) <= bound for x, y in pairs)
 
 
+def _index(x, what: str) -> int:
+    """x as an int, for integral x other than bool; else InputError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 class FlatBundleComplex:
     """n: even rank; vertices: count; simplices: [(vertex tuple, coeff)];
-    transitions: {(i, j): matrix}; section: [vector per vertex]."""
+    transitions: read-only {(i, j): matrix}; section: [vector per vertex]."""
 
     __slots__ = ("n", "vertices", "simplices", "transitions", "section",
-                 "tol", "_cleared", "_ints")
+                 "tol", "_pairs", "_ints")
 
-    def __init__(self, n, vertices, simplices, transitions, section,
-                 validate=True, tol=0):
+    def __init__(self, n, vertices, simplices, transitions, section, tol=0):
         self.n = require_even(n)
-        self.vertices = int(vertices)
-        self.simplices = tuple((tuple(v), int(c)) for v, c in simplices)
-        self.transitions = {}
-        for (i, j), g in dict(transitions).items():
-            self.transitions[(int(i), int(j))] = mat(g)
-        self.section = tuple(vec(s) for s in section)
+        self.vertices = _index(vertices, "vertex count")
+        self.simplices = tuple((tuple(_index(v, "simplex vertex") for v in verts),
+                                _index(c, "chain coefficient")) for verts, c in simplices)
+        self.transitions = MappingProxyType({
+            (_index(i, "transition key"), _index(j, "transition key")): mat(g)
+            for (i, j), g in dict(transitions).items()})
         self.tol = Fraction(tol)
-        self._cleared = {}
-        self._ints = tuple(int_vec(s) for s in self.section)
-        if validate:
-            self.validate()
+        if self.tol < 0:
+            raise InputError("tol must be nonnegative")
+        self._pairs = {}
+        self._set_section(section)
+        self.validate()
 
-    def g(self, i: int, j: int):
-        if i == j:
-            return identity(self.n)
-        try:
-            return self.transitions[(i, j)]
-        except KeyError:
-            pass
-        try:
-            return mat_inv(self.transitions[(j, i)])
-        except KeyError:
-            raise InputError(f"no transition for vertex pair ({i}, {j})") from None
+    def _set_section(self, section):
+        """Check and store a section: a nonzero n-vector per vertex."""
+        section = tuple(vec(s) for s in section)
+        if len(section) != self.vertices:
+            raise InputError("section must assign a vector to every vertex")
+        for s in section:
+            if len(s) != self.n or is_zero_vec(s):
+                raise InputError("section vectors must be nonzero of dimension n")
+        self.section = section
+        self._ints = tuple(int_vec(s) for s in section)
 
     def _pair(self, i: int, j: int):
         """(L_ij, G_ij = L_ij g_ij) for i != j, cleared on first use; a
-        direction stored only as its reverse is inverted first."""
-        try:
-            return self._cleared[(i, j)]
-        except KeyError:
-            n = self.n
-            den, flat = _clear([x for r in self.g(i, j) for x in r])
-            lg = self._cleared[(i, j)] = den, tuple(flat[k:k + n] for k in range(0, n * n, n))
-            return lg
+        direction stored only as its reverse is the _inverse of the stored
+        pair."""
+        lg = self._pairs.get((i, j))
+        if lg is None:
+            if (i, j) in self.transitions:
+                lg = _clear_matrix(self.transitions[(i, j)])
+            elif (j, i) in self.transitions:
+                lg = _inverse(*self._pair(j, i))
+            else:
+                raise InputError(f"no transition for vertex pair ({i}, {j})")
+            self._pairs[(i, j)] = lg
+        return lg
 
     def validate(self):
         """self.tol = 0: every identity is required exactly (rational data).
@@ -154,15 +169,7 @@ class FlatBundleComplex:
         every ordered triple is checked, each once, by _close: the integer
         form of the relative bound, which accepts exactly what the bound on
         the rational matrices accepts."""
-        tol = self.tol
-        if tol < 0:
-            raise InputError("tol must be nonnegative")
-        n = self.n
-        if len(self.section) != self.vertices:
-            raise InputError("section must assign a vector to every vertex")
-        for s in self.section:
-            if len(s) != n or is_zero_vec(s):
-                raise InputError("section vectors must be nonzero of dimension n")
+        tol, n = self.tol, self.n
         for (i, j), g in self.transitions.items():
             if not (0 <= i < self.vertices and 0 <= j < self.vertices):
                 raise InputError(f"transition pair ({i}, {j}) out of range")
@@ -272,22 +279,30 @@ def euler_number(bundle: FlatBundleComplex, mode: str = "smillie"):
 
 
 def gauge_transform(bundle: FlatBundleComplex, hs) -> FlatBundleComplex:
-    """Compose every trivialization with h_x: s'_x = h_x s_x and
-    g'_xy = h_x g_xy h_y^(-1).  Per-simplex values are unchanged."""
-    hs = [mat(h) for h in hs]
+    """Compose every trivialization with h_x: s'_x = h_x s_x and g'_xy =
+    h_x g_xy h_y^(-1) = H_x G_xy K_y / (l_x L_xy l'_y), for (l_x, H_x) = h_x
+    cleared and (l'_y, K_y) its _inverse.  Per-simplex values are unchanged;
+    relative defects are not, so the result is validated at the bundle's tol."""
+    n, hs = bundle.n, [_clear_matrix(h) for h in hs]
     if len(hs) != bundle.vertices:
         raise InputError("need one gauge matrix per vertex")
-    for h in hs:
-        if sig(h) != 1:
-            raise InputError("gauge matrices must have positive determinant")
-    hinv = [mat_inv(h) for h in hs]
-    transitions = {(i, j): mat_mul(mat_mul(hs[i], g), hinv[j])
-                   for (i, j), g in bundle.transitions.items()}
-    section = [mat_vec(hs[x], s) for x, s in enumerate(bundle.section)]
-    return FlatBundleComplex(bundle.n, bundle.vertices, bundle.simplices,
+    if any(len(h) != n or det_sign_int(h) != 1 for _, h in hs):
+        raise InputError(f"gauge matrices must be {n}x{n} with positive determinant")
+    invs = [_inverse(*h) for h in hs]
+    transitions = {}
+    for x, y in bundle.transitions:
+        (lx, hx), (lg, g), (ly, ky) = hs[x], bundle._pair(x, y), invs[y]
+        transitions[(x, y)] = tuple(tuple(Fraction(v, lx * lg * ly) for v in r)
+                                    for r in mat_mul(mat_mul(hx, g), ky))
+    section = [tuple(v / l for v in mat_vec(h, s))
+               for (l, h), s in zip(hs, bundle.section)]
+    return FlatBundleComplex(n, bundle.vertices, bundle.simplices,
                              transitions, section, tol=bundle.tol)
 
 
 def with_section(bundle: FlatBundleComplex, section) -> FlatBundleComplex:
-    return FlatBundleComplex(bundle.n, bundle.vertices, bundle.simplices,
-                             bundle.transitions, section, tol=bundle.tol)
+    """The bundle with another section, sharing its validated transitions
+    and their cleared pairs; only the new section is checked."""
+    out = copy.copy(bundle)
+    out._set_section(section)
+    return out

@@ -266,11 +266,13 @@ def _bundle(seed, t, s, n):
 
 def run_suite(suite: str, seed: int, trials: int) -> dict:
     """One VerifySuiteReport: suite, identity, seed, trials, failures,
-    wall_time.  Unknown suite names raise InputError ('all' is expanded by
-    run_suites)."""
+    wall_time.  Unknown suite names and trial counts below 1 raise
+    InputError ('all' is expanded by run_suites)."""
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(sorted(SUITES))} or 'all'")
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     identity, fn = SUITES[suite]
     start = time.perf_counter()
     failures = fn(seed, trials)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import eulerflags
 import eulerflags.cli as cli
 from eulerflags.serialize import dump_bundle
@@ -86,6 +88,22 @@ def test_euler_rejects_float_transition(tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert cli.main(["euler", str(p)]) == 1
     assert capsys.readouterr().err.strip() == "error: not a rational: 1.0"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("c", 1.7, "chain coefficient"),
+    ("vertices", 34.9, "vertex count"),
+    ("v", [0, 1, "x"], "simplex vertex"),
+])
+def test_euler_rejects_non_integer_combinatorics(tmp_path, capsys, field, value,
+                                                 message):
+    doc = dump_bundle(genus_surface_bundle(rational_flat_rep(), seed=1))
+    (doc if field == "vertices" else doc["simplices"][0])[field] = value
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["euler", str(p)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {message} must be an integer")
 
 
 def test_realize_round_trip(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 from eulerflags.cocycles import (coboundary, coc, coco, coboundary_kill_witness,
                                  obstruction_witness, pcoc, smi, sul)
 from eulerflags.flags import flag_equal_unoriented, flagstaff, make_flag
-from eulerflags.linalg import (InputError, OddDimensionError, det, e0, ori,
-                               sig, standard_basis)
+from eulerflags.linalg import (InputError, OddDimensionError, det, e0,
+                               identity, ori, sig)
 from eulerflags.randgen import RationalSampler
 from eulerflags.verify import smi_enumerated
 
@@ -35,14 +35,14 @@ def test_pcoc_rejects_bad_input():
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_pcoc_standard_value(n):
     # pcoc(e_0, e_1, ..., e_n) = (-1)^(n/2)
-    assert pcoc((e0(n),) + standard_basis(n)) == (-1) ** (n // 2)
+    assert pcoc((e0(n),) + identity(n)) == (-1) ** (n // 2)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_ori_deleted_basis_formula(n):
     # ori(e_1, ..., ^e_j, ..., e_n, x) = (-1)^(n-j) sign(x_j)
     s = RationalSampler(3 * n)
-    e = standard_basis(n)
+    e = identity(n)
     for _ in range(20):
         x = s.nonzero_vector(n)
         for j in range(1, n + 1):
@@ -57,7 +57,7 @@ def test_ori_deleted_basis_formula(n):
 def test_pcoc_deleted_frame_formula(n):
     # sorted positive-gap x: pcoc(e_0,..,^e_i,..,e_n, x) = (-1)^(n/2) sign(x_i)
     s = RationalSampler(7 * n)
-    e = standard_basis(n)
+    e = identity(n)
     for _ in range(20):
         gaps = [abs(s.fraction()) + F(1, 100) for _ in range(n)]
         lo = s.fraction()

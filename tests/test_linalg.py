@@ -11,9 +11,9 @@ import pytest
 from eulerflags import cocycles, linalg
 from eulerflags.linalg import (InputError, OddDimensionError, _clear, det, e0,
                                frame_transform, hereditarily_spanning,
-                               int_vec, mat_vec, ori, primitive_int_vec,
-                               projective_normalize, require_even, sig,
-                               standard_basis)
+                               identity, int_vec, mat_vec, ori,
+                               primitive_int_vec, projective_normalize,
+                               require_even, sig)
 from eulerflags.randgen import RationalSampler
 
 F = Fraction
@@ -195,7 +195,7 @@ def test_projective_normalize_scale_invariant():
 
 def test_frame_transform_pinned():
     n = 2
-    e = standard_basis(n)
+    e = identity(n)
     idm = frame_transform((e0(n),) + e)
     assert idm == ((F(1), F(0)), (F(0), F(1)))
     g = frame_transform(((F(1), F(1)), (F(-1), F(1)), (F(0), F(1))))
@@ -207,7 +207,7 @@ def test_frame_transform_pinned():
 @pytest.mark.parametrize("n", [2, 4])
 def test_frame_transform_maps_to_frame(n):
     s = RationalSampler(n)
-    targets = (e0(n),) + standard_basis(n)
+    targets = (e0(n),) + identity(n)
     for _ in range(25):
         xs = s.spanning_tuple(n, n + 1)
         g = frame_transform(xs)
@@ -221,7 +221,7 @@ def test_frame_transform_rejects_non_spanning():
         frame_transform(((1, 0), (0, 1), (1, 0)))
     with pytest.raises(InputError):
         # x_0 = x_1 + x_2 + x_3: zero coefficient on x_4
-        e = standard_basis(4)
+        e = identity(4)
         frame_transform(((1, 1, 1, 0),) + e)
 
 

@@ -1,15 +1,19 @@
 """Flat-bundle validation, chain boundaries, and Euler-number evaluation
 on small hand-built complexes."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from eulerflags.cocycles import smi
-from eulerflags.linalg import InputError, identity, mat_inv, mat_mul, mat_vec
+from eulerflags.linalg import (InputError, _clear_matrix, identity, mat_inv,
+                               mat_mul, mat_vec)
 from eulerflags.randgen import RationalSampler
+from eulerflags.serialize import dump_bundle
 from eulerflags.simplicial import (FlatBundleComplex, NonGenericSection,
                                    chain_boundary, euler_number,
                                    gauge_transform, sul_classify, with_section)
@@ -110,13 +114,47 @@ def test_missing_transition():
 
 
 def test_inverse_fallback():
+    # a direction stored only as its reverse is the cleared inverse
     simplices = [((0, 1, 2), 1)]
     g = ((F(2), F(1)), (F(1), F(1)))
     ts = {(0, 1): g, (0, 2): I2, (1, 2): ((F(1), F(-1)), (F(-1), F(2)))}
     b = FlatBundleComplex(2, 3, simplices, ts, _sections(3))
-    gi = b.g(1, 0)
-    assert b.g(0, 1) == g
-    assert gi == ((F(1), F(-1)), (F(-1), F(2)))
+    assert b._pair(1, 0) == (1, ((1, -1), (-1, 2)))
+    for kind in ("rational", "fuchsian"):
+        full = _genus2(kind, 0)
+        one_way = {p: g for p, g in full.transitions.items() if p[0] < p[1]}
+        b = FlatBundleComplex(2, full.vertices, full.simplices, one_way,
+                              full.section, tol=full.tol)
+        for (i, j), g in one_way.items():
+            assert b._pair(j, i) == _clear_matrix(mat_inv(g))
+
+
+def test_bundle_combinatorics_must_be_integers():
+    simplices = [((0, 1, 2), 1)]
+    ts, sec = _ident_transitions(simplices), _sections(3)
+    for bad in (3.0, True, "3", F(3)):
+        with pytest.raises(InputError, match="vertex count"):
+            FlatBundleComplex(2, bad, simplices, ts, sec)
+        with pytest.raises(InputError, match="simplex vertex"):
+            FlatBundleComplex(2, 3, [((0, 1, bad), 1)], ts, sec)
+        with pytest.raises(InputError, match="chain coefficient"):
+            FlatBundleComplex(2, 3, [((0, 1, 2), bad)], ts, sec)
+        with pytest.raises(InputError, match="transition key"):
+            FlatBundleComplex(2, 3, simplices, {**ts, (bad, bad): I2}, sec)
+
+
+def test_transitions_are_read_only():
+    b = _genus2("rational", 0)
+    with pytest.raises(TypeError):
+        b.transitions[(0, 1)] = I2
+    with pytest.raises(TypeError):
+        del b.transitions[next(iter(b.transitions))]
+    p = next(p for p, g in b.transitions.items() if g != I2)
+    ts = dict(b.transitions)
+    ts[p] = I2  # a copy is an ordinary dict
+    assert b.transitions[p] != I2
+    moved = with_section(b, b.section)
+    assert moved.transitions is b.transitions and moved._pairs is b._pairs
 
 
 def test_chain_boundary_pinned():
@@ -162,8 +200,16 @@ def test_gauge_transform_checks():
     b = _sphere()
     with pytest.raises(InputError, match="positive determinant"):
         gauge_transform(b, [((F(-1), F(0)), (F(0), F(1)))] * 4)
+    with pytest.raises(InputError, match="positive determinant"):
+        gauge_transform(b, [I2] * 3 + [((F(1), F(2)), (F(2), F(4)))])
     with pytest.raises(InputError, match="per vertex"):
         gauge_transform(b, [I2] * 3)
+    with pytest.raises(InputError, match="2x2"):
+        gauge_transform(b, [I2] * 3 + [identity(4)])
+    with pytest.raises(InputError, match="rows of length"):
+        gauge_transform(b, [I2] * 3 + [((1, 0, 0), (0, 1, 0))])
+    with pytest.raises(InputError, match="float"):
+        gauge_transform(b, [I2] * 3 + [((1.0, 0), (0, 1))])
 
 
 def test_gauge_and_section_invariance():
@@ -188,23 +234,35 @@ def test_negative_tol_rejected():
 # and the Fraction mat_vec transport they replace.
 
 
-def _oracle_identities(b):
-    """(lhs, rhs) of every inverse-pair and cocycle identity, per simplex and
-    in every order, as Fraction matrices."""
+def _g(transitions, n, i, j):
+    """The rational g_ij of a transition dict: the stored matrix, the
+    inverse of the stored reverse, or the identity when i = j."""
+    if i == j:
+        return identity(n)
+    if (i, j) in transitions:
+        return transitions[(i, j)]
+    return mat_inv(transitions[(j, i)])
+
+
+def _oracle_identities(b, ts):
+    """(lhs, rhs) of every inverse-pair and cocycle identity of the
+    transitions ts on the complex of b, per simplex and in every order, as
+    Fraction matrices."""
     ident = identity(b.n)
+    g = lambda i, j: _g(ts, b.n, i, j)
     for verts, _ in b.simplices:
         for x, y in itertools.permutations(verts, 2):
-            yield mat_mul(b.g(x, y), b.g(y, x)), ident
+            yield mat_mul(g(x, y), g(y, x)), ident
         for x, y, z in itertools.permutations(verts, 3):
-            yield mat_mul(b.g(x, y), b.g(y, z)), b.g(x, z)
+            yield mat_mul(g(x, y), g(y, z)), g(x, z)
 
 
 def _oracle_scale(lhs, rhs):
     return max([F(1)] + [abs(v) for r in lhs + rhs for v in r])
 
 
-def _oracle_accepts(b, tol):
-    for lhs, rhs in _oracle_identities(b):
+def _oracle_accepts(b, ts, tol):
+    for lhs, rhs in _oracle_identities(b, ts):
         scale = _oracle_scale(lhs, rhs)
         if not all(abs(x - y) <= tol * scale
                    for rl, rr in zip(lhs, rhs) for x, y in zip(rl, rr)):
@@ -212,26 +270,20 @@ def _oracle_accepts(b, tol):
     return True
 
 
-def _oracle_worst(b):
-    """The smallest tol at which _oracle_accepts(b, tol) holds."""
+def _oracle_worst(b, ts):
+    """The smallest tol at which _oracle_accepts(b, ts, tol) holds."""
     return max(abs(x - y) / _oracle_scale(lhs, rhs)
-               for lhs, rhs in _oracle_identities(b)
+               for lhs, rhs in _oracle_identities(b, ts)
                for rl, rr in zip(lhs, rhs) for x, y in zip(rl, rr))
 
 
-def _accepts(b, tol):
-    """Whether a copy of b at tolerance tol validates."""
+def _accepts(b, ts, tol):
+    """Whether a copy of b with transitions ts at tolerance tol validates."""
     try:
-        FlatBundleComplex(b.n, b.vertices, b.simplices, b.transitions,
-                          b.section, tol=tol)
+        FlatBundleComplex(b.n, b.vertices, b.simplices, ts, b.section, tol=tol)
     except InputError:
         return False
     return True
-
-
-def _copy(b, transitions):
-    return FlatBundleComplex(b.n, b.vertices, b.simplices, transitions,
-                             b.section, validate=False, tol=b.tol)
 
 
 def _genus2(kind, seed):
@@ -248,7 +300,7 @@ KINDS = ("trivial", "rational", "fuchsian")
 
 
 def _faulted(b, rng, eps):
-    """{name: bundle} with seeded planted faults: one stored direction
+    """{name: transition dict} with seeded planted faults: one stored direction
     perturbed by eps; one pair perturbed consistently in both directions
     (every inverse identity still holds, a cocycle rule breaks); the bundle
     stored one direction per pair; and that one-direction bundle with one
@@ -265,13 +317,13 @@ def _faulted(b, rng, eps):
         ts[(i, j)] = g
         if both:
             ts[(j, i)] = mat_inv(g)
-        out[name] = _copy(b, ts)
+        out[name] = ts
     one_way = {p: b.transitions[p] for p in pairs}
-    out["one-way"] = _copy(b, one_way)
+    out["one-way"] = dict(one_way)
     i, j = rng.choice(pairs)
     one_way[(i, j)] = tuple(tuple(x + eps for x in row)
                             for row in one_way[(i, j)])
-    out["one-way perturbed"] = _copy(b, one_way)
+    out["one-way perturbed"] = one_way
     return out
 
 
@@ -281,10 +333,10 @@ def test_validate_matches_oracle_on_planted_faults(kind):
     verdicts = set()
     b = _genus2(kind, 1)
     for eps in (F(1, 97), F(1, 10 ** 15)):
-        for name, fb in [("unchanged", b)] + list(_faulted(b, rng, eps).items()):
+        for name, ts in [("unchanged", b.transitions)] + list(_faulted(b, rng, eps).items()):
             for tol in {F(0), FUCHSIAN_TOL}:
-                want = _oracle_accepts(fb, tol)
-                assert _accepts(fb, tol) == want, (name, eps, tol)
+                want = _oracle_accepts(b, ts, tol)
+                assert _accepts(b, ts, tol) == want, (name, eps, tol)
                 verdicts.add((tol == 0, want))
     # exact and tolerant validation each both accepted and rejected
     want = {(True, False), (False, True), (False, False)}
@@ -302,14 +354,14 @@ def test_validate_tolerance_boundary_matches_oracle(kind):
     cases = _faulted(b, rng, F(1, 10 ** 12))
     del cases["one-way"]  # no planted defect
     if kind == "fuchsian":
-        cases["unchanged"] = b  # the float holonomy's own rounding defects
-    for fb in cases.values():
-        worst = _oracle_worst(fb)
+        cases["unchanged"] = b.transitions  # the float holonomy's own rounding defects
+    for ts in cases.values():
+        worst = _oracle_worst(b, ts)
         assert worst > 0
         for tol in (worst, worst * (1 - F(1, 10 ** 30))):
-            want = _oracle_accepts(fb, tol)
+            want = _oracle_accepts(b, ts, tol)
             assert want == (tol == worst)
-            assert _accepts(fb, tol) == want
+            assert _accepts(b, ts, tol) == want
 
 
 def _oracle_per_simplex(b, mode):
@@ -319,7 +371,8 @@ def _oracle_per_simplex(b, mode):
     for verts, _ in b.simplices:
         vals = set()
         for vb in verts:
-            vs = tuple(mat_vec(b.g(vb, vj), b.section[vj]) for vj in verts)
+            vs = tuple(mat_vec(_g(b.transitions, b.n, vb, vj), b.section[vj])
+                       for vj in verts)
             if mode == "smillie":
                 vals.add(smi(vs))
             else:
@@ -338,7 +391,9 @@ def test_per_simplex_matches_rational_transport(kind):
     b = _genus2(kind, 3)
     one_way = {p: g for p, g in b.transitions.items() if p[0] < p[1]}
     hs = [s.glp_matrix(2) for _ in range(b.vertices)]
-    for bb in (b, _copy(b, one_way), gauge_transform(b, hs)):
+    one_way_b = FlatBundleComplex(b.n, b.vertices, b.simplices, one_way,
+                                  b.section, tol=b.tol)
+    for bb in (b, one_way_b, gauge_transform(b, hs)):
         for mode in ("smillie", "sullivan"):
             want = _oracle_per_simplex(bb, mode)
             if want is None:
@@ -357,7 +412,7 @@ def test_simplex_sections_are_positive_multiples():
             got = b.simplex_sections(verts, base)
             for v, vj in zip(got, verts):
                 assert all(isinstance(x, int) for x in v)
-                w = mat_vec(b.g(verts[base], vj), b.section[vj])
+                w = mat_vec(_g(b.transitions, 2, verts[base], vj), b.section[vj])
                 # v = lam * w with lam > 0
                 k = next(t for t in range(2) if w[t])
                 lam = v[k] / w[k]
@@ -372,14 +427,13 @@ def test_tolerant_validate_checks_both_orders_of_an_edge():
     d, dinv = ((F(k), F(0)), (F(0), F(1, k))), ((F(1, k), F(0)), (F(0), F(k)))
     ts = {(0, 1): d, (1, 0): ((F(1, k), F(0)), (eps, F(k))), (1, 2): dinv,
           (2, 1): d, (0, 2): I2, (2, 0): I2}
-    b = FlatBundleComplex(2, 3, [((0, 1, 2), 1)], ts, _sections(3),
-                          validate=False)
-    worst = _oracle_worst(b)
+    b = _triangle()  # the complex and section; ts is under test
+    worst = _oracle_worst(b, ts)
     assert worst == eps * k
     for tol in (worst, worst * (1 - F(1, 10 ** 30))):
-        want = _oracle_accepts(b, tol)
+        want = _oracle_accepts(b, ts, tol)
         assert want == (tol == worst)
-        assert _accepts(b, tol) == want
+        assert _accepts(b, ts, tol) == want
 
 
 def test_validate_reads_the_bundle_tolerance():
@@ -390,3 +444,42 @@ def test_validate_reads_the_bundle_tolerance():
     with pytest.raises(InputError):
         FlatBundleComplex(b.n, b.vertices, b.simplices, b.transitions,
                           b.section)
+
+
+# sha256 of the dump_bundle document of each gauge-moved and re-sectioned
+# genus-2 bundle, with its smillie Euler number (raw, integer, per simplex)
+# added under "euler": however gauge moves and section changes are computed,
+# their results must stay byte-identical.
+PINNED_MOVES = {
+    "trivial": ("5cc0c005bc9924fd1c1518696a03d22bd88a9f478987a65422068c4619e1fc22",
+                "532d9ee18d5f8aa3984fad540168de8193cb667b51d06467fb3f930c44f06fbd"),
+    "rational": ("d69080066173be668edd64fcba21fedd122ca4d0101b6b587c60b80afb39be08",
+                 "b99779a522fbaa7d99f4fd0f983aa96742c05f7ef8cfba8d64a1ae06d103f733"),
+    "fuchsian": ("9ab966810d5552eb919eaac0bac41dcc64fa092ab0cf76901dc9213174780e8a",
+                 "9813f99d8e80bf593e51aac0e5fd2dabe53dcb3e937d22ae1494cb2d38568c60"),
+    "one-way": ("1ce2bba1a72747db6b2724aa27d3f2b5f8e3f721c943ba88ebbffa403890df1c",
+                "7aeaeada728e2ee368be48521580dd3f7d4c7ec159b486a5f47023554d1f9557"),
+}
+
+
+def _move_digest(b):
+    doc = dump_bundle(b)
+    raw, e, per = euler_number(b)
+    doc["euler"] = [str(raw), e, [str(v) for v in per]]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MOVES))
+def test_gauge_and_section_pinned(name):
+    if name == "one-way":  # the rational bundle, one stored direction per pair
+        rat = _genus2("rational", 0)
+        b = FlatBundleComplex(2, rat.vertices, rat.simplices,
+                              {p: g for p, g in rat.transitions.items() if p[0] < p[1]},
+                              rat.section)
+    else:
+        b = _genus2(name, 0)
+    s = RationalSampler(f"pin:{name}", m=9)
+    hs = [s.glp_matrix(2) for _ in range(b.vertices)]
+    sec = [s.nonzero_vector(2) for _ in range(b.vertices)]
+    got = (_move_digest(gauge_transform(b, hs)), _move_digest(with_section(b, sec)))
+    assert got == PINNED_MOVES[name]

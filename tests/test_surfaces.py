@@ -121,13 +121,14 @@ def test_uncertifiable_section_on_tolerant_bundle():
     # (InputError family), never return a guess.  Only simplices whose
     # transition triple is exactly incoherent can expose this.
     b = genus_surface_bundle(fuchsian_octagon_rep(), tol=TOL)
+    g = b.transitions  # both directions of every pair are stored
     hit = False
     for verts, _c in b.simplices:
         va, vb, vc = verts
-        if mat_mul(b.g(va, vb), b.g(vb, vc)) == b.g(va, vc):
+        if mat_mul(g[(va, vb)], g[(vb, vc)]) == g[(va, vc)]:
             continue
         sec = list(b.section)
-        sec[vc] = mat_vec(mat_inv(b.g(va, vc)), sec[va])
+        sec[vc] = mat_vec(mat_inv(g[(va, vc)]), sec[va])
         try:
             euler_number(with_section(b, sec))
         except NonGenericSection as ex:

@@ -15,8 +15,8 @@ import pytest
 from eulerflags.flags import (_cofactor_functional, flag_equal_unoriented,
                               make_flag)
 from eulerflags.linalg import (InputError, _clear, _minors, det,
-                               det_sign_int, e0, frame_transform, int_vec,
-                               mat_inv, mat_vec, standard_basis)
+                               det_sign_int, e0, frame_transform, identity,
+                               int_vec, mat_inv, mat_vec)
 
 sympy = pytest.importorskip("sympy")
 
@@ -132,7 +132,7 @@ def test_frame_transform_coefficients_against_sympy(n):
     # g sends c_i x_i to e_i, so (g x_i)_i = 1 / c_i and g x_0 = e_0, where
     # c solves sum_i c_i x_i = x_0.
     rng = random.Random(7 + n)
-    e = standard_basis(n)
+    e = identity(n)
     outcomes = {"ok": 0, "not spanning": 0, "zero coefficient": 0}
     for t in range(60):
         xs = [tuple(_entry(rng, t % 5 == 2) for _ in range(n))

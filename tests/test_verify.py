@@ -52,6 +52,16 @@ def test_unknown_suite():
         run_suite("nope", 0, 1)
 
 
+def test_trial_count_below_one_rejected(capsys):
+    for trials in (-3, 0):
+        with pytest.raises(InputError, match="trials"):
+            run_suite("descent", 1, trials)
+    argv = ["verify", "--suite", "descent", "--trials", "-3", "--seed", "1"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: trials")
+
+
 def test_reproducible():
     a = run_suite("cocycle-coco", seed=9, trials=6)
     b = run_suite("cocycle-coco", seed=9, trials=6)
