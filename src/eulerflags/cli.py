@@ -92,9 +92,7 @@ def _cmd_euler(args):
 
 
 def _cmd_itu(args):
-    n, gs = load_gs(load_json(args.gs))
-    if args.n is not None and args.n != n:
-        raise InputError(f"--n {args.n} does not match file n = {n}")
+    _, gs = load_gs(load_json(args.gs))
     est = itu_estimate(gs, samples=args.samples, seed=args.seed,
                        mode=args.mode)
     _emit({"mean": est.mean, "stderr": est.stderr, "samples": est.samples,
@@ -145,8 +143,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--samples", type=int, default=100_000)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--mode", choices=["ball", "projective"], default="ball")
-    q.add_argument("--n", type=int, default=None,
-                   help="optional cross-check against the file's n")
     q.set_defaults(func=_cmd_itu)
 
     q = sub.add_parser("realize", help="points realizing a flag tuple")

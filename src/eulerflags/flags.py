@@ -23,12 +23,12 @@ from .linalg import (
     _minors,
     _primitive,
     det_sign_int,
+    mat,
     mat_vec,
     ori,
     primitive_int_vec,
     projective_normalize,
     require_even,
-    vec,
 )
 
 
@@ -87,7 +87,7 @@ class OrientedFlag:
     __slots__ = ("basis", "ints")
 
     def __init__(self, basis):
-        self.basis = tuple(vec(v) for v in basis)
+        self.basis = mat(basis)
         n = len(self.basis)
         if n == 0 or any(len(v) != n for v in self.basis):
             raise InputError("flag basis must be n vectors of dimension n")

@@ -43,28 +43,48 @@ class PropertyViolation(AssertionError):
     """A library invariant failed; raised explicitly so it survives -O."""
 
 
-def require_even(n: int) -> int:
+def require_even(n) -> int:
+    n = _integer(n, "ambient dimension")
     if n < 2 or n % 2 != 0:
         raise OddDimensionError(f"ambient dimension must be even and >= 2, got {n}")
     return n
 
 
+def _integer(x, what: str) -> int:
+    """x as an int, for integral x other than bool; else InputError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return int(x)  # a numpy integer would stay fixed width
+
+
+def _seq(xs, what: str) -> tuple:
+    """xs as a tuple, for a non-string iterable; else InputError."""
+    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
+        raise InputError(f"{what} must be a sequence, got {xs!r}")
+    return tuple(xs)
+
+
 def fr(x) -> Fraction:
+    """x as an exact rational: a Fraction, an int (not a bool) or a rational
+    string such as "-3/7"; anything else raises InputError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise InputError(f"refusing to coerce float {x!r} to an exact rational")
-    if type(x) is not int and isinstance(x, numbers.Integral):
-        x = int(x)  # a numpy integer would stay fixed width inside Fraction
-    return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif not isinstance(x, bool) and isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    raise InputError(f"not a rational: {x!r}")
 
 
 def vec(xs) -> tuple[Fraction, ...]:
-    return tuple(fr(x) for x in xs)
+    return tuple(fr(x) for x in _seq(xs, "vector"))
 
 
 def mat(rows) -> tuple[tuple[Fraction, ...], ...]:
-    m = tuple(vec(r) for r in rows)
+    m = tuple(vec(r) for r in _seq(rows, "matrix"))
     if m and any(len(r) != len(m[0]) for r in m):
         raise InputError("ragged matrix")
     return m
@@ -78,12 +98,12 @@ def _clear(xs) -> tuple[int, tuple[int, ...]]:
     """(L, ints): the positive lcm L of the denominators of xs and the
     entries numerator * (L // denominator), so that ints = L * xs exactly.
     All-int input is returned as is, with L = 1.  Other entries that are
-    not int or Fraction go through fr (strings parse, floats raise
-    InputError)."""
-    xs = tuple(xs)
+    not int or Fraction go through fr (strings parse, floats and bools
+    raise InputError)."""
+    xs = _seq(xs, "vector")
     if all(type(x) is int for x in xs):
         return 1, xs
-    xs = [x if isinstance(x, (int, Fraction)) else fr(x) for x in xs]
+    xs = [x if type(x) is int or isinstance(x, Fraction) else fr(x) for x in xs]
     den = math.lcm(*[x.denominator for x in xs])
     return den, tuple(x.numerator * (den // x.denominator) for x in xs)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import InputError, require_even
+from .linalg import InputError, _integer, require_even
 
 CHUNK = 1 << 14
 DET_RTOL = 1e-9
@@ -121,8 +121,9 @@ def _check_gs(gs):
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] != arr.shape[1] + 1:
         raise InputError(f"need n+1 matrices of shape n x n, got shape {arr.shape}")
     require_even(arr.shape[-1])
-    dets = np.linalg.det(arr)
-    scale = np.linalg.norm(arr, axis=2).prod(axis=1)
+    with np.errstate(all="ignore"):  # non-finite entries are refused below
+        dets = np.linalg.det(arr)
+        scale = np.linalg.norm(arr, axis=2).prod(axis=1)
     if not np.all(np.isfinite(arr)) or np.any(np.abs(dets) <= DET_RTOL * scale):
         raise InputError("near-singular or non-finite matrix in g-tuple")
     return arr
@@ -132,6 +133,7 @@ def itu_estimate(gs, samples: int, seed: int = 0, mode: str = "ball") -> ItuEsti
     """Estimate the ball average of sul(g_0 v_0, ..., g_n v_n)."""
     if mode not in ("ball", "projective"):
         raise InputError(f"unknown mode {mode!r}")
+    samples, seed = _integer(samples, "samples"), _integer(seed, "seed")
     if samples < 1:
         raise InputError("samples must be >= 1")
     gs = _check_gs(gs)

@@ -1,8 +1,11 @@
 """JSON schemas for the CLI.
 
-Rationals travel as strings "p/q" or "p", or as JSON integers; vectors as
-arrays of those.  JSON floats are not rationals: parse_rational rejects them
-with InputError("not a rational: ..."), bundle transitions included.
+A loader maps the keys of a document to constructor arguments and checks
+nothing itself: linalg's three input rules decide every value.  A rational
+(fr) is a JSON integer or a string "p/q" or "p"; JSON floats, booleans and
+null are not rationals and raise InputError("not a rational: ..."), bundle
+transitions included.  An integer (_integer) is a JSON integer, not a
+boolean.  A vector or matrix (_seq) is an array.
 Point tuples:   { "n": int, "points": [[rational, ...], ...] }
 Flag tuples:    { "n": int, "flags": [[[rational, ...], ...], ...] }
 Bundles:        { "n", "vertices": int, "simplices": [{"v": [int, ...], "c": int}],
@@ -14,43 +17,18 @@ Matrix tuples:  { "n": int, "gs": [[[number, ...], ...], ...] }  (floats ok)
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .flags import make_flag
-from .linalg import InputError
+from .linalg import InputError, _integer, _seq, fr, mat
+from .montecarlo import _check_gs
 
 
-def parse_rational(s) -> Fraction:
-    if isinstance(s, bool):
-        raise InputError(f"not a rational: {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        try:
-            return Fraction(s.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {s!r} ({exc})") from None
-    raise InputError(f"not a rational: {s!r}")
-
-
-def fmt_rational(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def parse_vector(arr):
-    if not isinstance(arr, (list, tuple)) or not arr:
-        raise InputError(f"not a vector: {arr!r}")
-    return tuple(parse_rational(x) for x in arr)
+def fmt_rational(x) -> str:
+    return str(fr(x))
 
 
 def fmt_vector(v):
     return [fmt_rational(x) for x in v]
-
-
-def parse_matrix(rows):
-    if not isinstance(rows, (list, tuple)) or not rows:
-        raise InputError(f"not a matrix: {rows!r}")
-    return tuple(parse_vector(r) for r in rows)
 
 
 def fmt_matrix(m):
@@ -64,8 +42,8 @@ def _get(doc, key):
 
 
 def load_points(doc):
-    n = _get(doc, "n")
-    pts = tuple(parse_vector(v) for v in _get(doc, "points"))
+    n = _integer(_get(doc, "n"), "n")
+    pts = mat(_get(doc, "points"))
     if any(len(v) != n for v in pts):
         raise InputError(f"point of dimension != n={n}")
     return n, pts
@@ -76,8 +54,8 @@ def dump_points(n, pts):
 
 
 def load_flags(doc):
-    n = _get(doc, "n")
-    flags = tuple(make_flag(parse_matrix(f)) for f in _get(doc, "flags"))
+    n = _integer(_get(doc, "n"), "n")
+    flags = tuple(make_flag(f) for f in _seq(_get(doc, "flags"), "flags"))
     if any(F.n != n for F in flags):
         raise InputError(f"flag of dimension != n={n}")
     return n, flags
@@ -90,14 +68,13 @@ def dump_flags(n, flags):
 def load_bundle(doc):
     from .simplicial import FlatBundleComplex
 
-    n = _get(doc, "n")
-    vertices = _get(doc, "vertices")
-    simplices = [(_get(s, "v"), _get(s, "c")) for s in _get(doc, "simplices")]
-    transitions = {(_get(t, "i"), _get(t, "j")): parse_matrix(_get(t, "g"))
-                   for t in _get(doc, "transitions")}
-    section = [parse_vector(s) for s in _get(doc, "section")]
-    tol = parse_rational(doc.get("tol", 0))
-    return FlatBundleComplex(n, vertices, simplices, transitions, section, tol=tol)
+    simplices = [(_get(s, "v"), _get(s, "c"))
+                 for s in _seq(_get(doc, "simplices"), "simplices")]
+    transitions = [((_get(t, "i"), _get(t, "j")), _get(t, "g"))
+                   for t in _seq(_get(doc, "transitions"), "transitions")]
+    return FlatBundleComplex(_get(doc, "n"), _get(doc, "vertices"), simplices,
+                             transitions, _get(doc, "section"),
+                             tol=doc.get("tol", 0))
 
 
 def dump_bundle(bundle):
@@ -115,9 +92,9 @@ def dump_bundle(bundle):
 
 
 def load_gs(doc):
-    n = _get(doc, "n")
-    gs = [[[float(x) for x in row] for row in g] for g in _get(doc, "gs")]
-    if any(len(g) != n or any(len(r) != n for r in g) for g in gs):
+    gs = _check_gs(_get(doc, "gs"))
+    n = _integer(_get(doc, "n"), "n")
+    if gs.shape[-1] != n:
         raise InputError(f"matrix of shape != {n}x{n}")
     return n, gs
 
@@ -130,5 +107,5 @@ def load_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON is a ValueError
         raise InputError(f"cannot read JSON from {path!r}: {exc}") from None

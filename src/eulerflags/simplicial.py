@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-import numbers
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -37,8 +37,11 @@ from .linalg import (
     InputError,
     PropertyViolation,
     _clear_matrix,
+    _integer,
     _inverse,
+    _seq,
     det_sign_int,
+    fr,
     identity,
     int_vec,
     is_zero_vec,
@@ -98,29 +101,26 @@ def _close(a, da, b, db, tol):
     return all(q * abs(x * db - y * da) <= bound for x, y in pairs)
 
 
-def _index(x, what: str) -> int:
-    """x as an int, for integral x other than bool; else InputError."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise InputError(f"{what} must be an integer, got {x!r}")
-    return int(x)
-
-
 class FlatBundleComplex:
     """n: even rank; vertices: count; simplices: [(vertex tuple, coeff)];
-    transitions: read-only {(i, j): matrix}; section: [vector per vertex]."""
+    transitions: {(i, j): matrix} or ((i, j), matrix) pairs, stored
+    read-only; section: [vector per vertex]; tol: rational."""
 
     __slots__ = ("n", "vertices", "simplices", "transitions", "section",
                  "tol", "_pairs", "_ints")
 
     def __init__(self, n, vertices, simplices, transitions, section, tol=0):
         self.n = require_even(n)
-        self.vertices = _index(vertices, "vertex count")
-        self.simplices = tuple((tuple(_index(v, "simplex vertex") for v in verts),
-                                _index(c, "chain coefficient")) for verts, c in simplices)
+        self.vertices = _integer(vertices, "vertex count")
+        self.simplices = tuple(
+            (tuple(_integer(v, "simplex vertex") for v in _seq(verts, "simplex")),
+             _integer(c, "chain coefficient")) for verts, c in simplices)
+        if isinstance(transitions, Mapping):
+            transitions = transitions.items()
         self.transitions = MappingProxyType({
-            (_index(i, "transition key"), _index(j, "transition key")): mat(g)
-            for (i, j), g in dict(transitions).items()})
-        self.tol = Fraction(tol)
+            (_integer(i, "transition key"), _integer(j, "transition key")): mat(g)
+            for (i, j), g in transitions})
+        self.tol = fr(tol)
         if self.tol < 0:
             raise InputError("tol must be nonnegative")
         self._pairs = {}
@@ -129,7 +129,7 @@ class FlatBundleComplex:
 
     def _set_section(self, section):
         """Check and store a section: a nonzero n-vector per vertex."""
-        section = tuple(vec(s) for s in section)
+        section = tuple(vec(s) for s in _seq(section, "section"))
         if len(section) != self.vertices:
             raise InputError("section must assign a vector to every vertex")
         for s in section:

@@ -20,9 +20,9 @@ closure word reduces to the surface relator [a_1,b_1]...[a_g,b_g], so the
 transition collisions between neighbouring triangles cancel exactly whenever
 rho satisfies the relator; the builder asserts every collision.
 
-Representations with float entries (hyperbolic holonomies) are embedded as
-exact dyadic rationals and validated with a caller-supplied tolerance; exact
-rational representations validate with tol = 0.
+Float entries of a representation (hyperbolic holonomies) are embedded as
+exact dyadic rationals, the one exception to linalg.fr, and validated with a
+caller-supplied tolerance; exact rational ones validate with tol = 0.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import InputError, PropertyViolation, det, identity, mat_inv, mat_mul
+from .linalg import (InputError, PropertyViolation, det, fr, identity, mat_inv,
+                     mat_mul)
 from .randgen import RationalSampler
 from .simplicial import FlatBundleComplex
 
@@ -98,7 +99,8 @@ def _corner_walk(g):
 
 
 def _to_matrix(m):
-    rows = tuple(tuple(Fraction(x) for x in row) for row in m)
+    rows = tuple(tuple(Fraction(x) if isinstance(x, float) else fr(x) for x in row)
+                 for row in m)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise InputError("surface representations take 2x2 matrices")
     if det(rows) <= 0:
@@ -122,7 +124,7 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
         raise InputError("need matrices (A_1, B_1, ..., A_g, B_g)")
     g = len(rep) // 2
     N = 4 * g
-    tol = Fraction(tol)
+    tol = fr(tol)
 
     letters = {}
     for l, m in enumerate(rep):

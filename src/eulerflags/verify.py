@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .cocycles import coboundary, coc, coco, pcoc, smi, sul
 from .flags import bracket, flagstaff, realize_points
-from .linalg import (InputError, PropertyViolation, hereditarily_spanning,
-                     mat_vec, ori, sig, vec)
+from .linalg import (InputError, PropertyViolation, _integer,
+                     hereditarily_spanning, mat_vec, ori, sig, vec)
 from .randgen import RationalSampler
 from .serialize import dump_flags, dump_points, fmt_matrix, fmt_rational
 from .simplicial import euler_number, gauge_transform, with_section
@@ -271,6 +271,7 @@ def run_suite(suite: str, seed: int, trials: int) -> dict:
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(sorted(SUITES))} or 'all'")
+    seed, trials = _integer(seed, "seed"), _integer(trials, "trials")
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
     identity, fn = SUITES[suite]

@@ -1,6 +1,7 @@
 """CLI behavior: subcommand outputs, schemas on stdin/files, exit codes."""
 
 import ast
+import io
 import json
 import os
 import subprocess
@@ -121,9 +122,66 @@ def test_itu_subcommand(tmp_path, capsys):
     doc = json.loads(out)
     assert rc == 0 and abs(doc["mean"]) <= 3 * doc["stderr"] + 1e-12
     assert doc["samples"] == 5000 and doc["resampled"] >= 0
+    # the file's n is checked against the matrix shape; --n is not an option
     rc, _ = _run(capsys, ["itu", "--gs", str(p), "--samples", "10",
                           "--n", "4"])
     assert rc == 1
+
+
+def _put(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _bundle_doc():
+    return dump_bundle(genus_surface_bundle(rational_flat_rep(), seed=1))
+
+
+GS = {"n": 2, "gs": [[[1, 0], [0, 1]]] * 3}
+_ARGV = {"euler": ["euler", "-"], "eval": ["eval", "pcoc", "-"],
+         "realize": ["realize", "-"],
+         "itu": ["itu", "--gs", "-", "--samples", "10"]}
+MALFORMED = [
+    ("euler", ["n"], 2.0), ("euler", ["n"], "2"), ("euler", ["n"], None),
+    ("euler", ["simplices", 0, "v"], 5), ("euler", ["simplices", 0, "v"], None),
+    ("euler", ["section"], 5), ("euler", ["simplices"], 5),
+    ("euler", ["transitions"], 5), ("euler", ["transitions", 0, "i"], [0]),
+    ("euler", ["tol"], 1e-9),
+    ("eval", ["points"], 5), ("eval", ["n"], 2.0),
+    ("realize", ["n"], 2.0), ("realize", ["flags"], [5, 5, 5, 5]),
+    ("itu", ["gs", 0], [[1, 0], [0, "a"]]), ("itu", ["gs"], 5),
+    ("itu", ["gs", 0], [[None, 0], [0, 1]]), ("itu", ["n"], 2.0),
+]
+
+
+@pytest.mark.parametrize("command, path, value", MALFORMED,
+                         ids=[f"{c}-{'.'.join(map(str, p))}={v!r}"
+                              for c, p, v in MALFORMED])
+def test_malformed_input_is_one_error_line(capsys, monkeypatch, command, path,
+                                           value):
+    # an exception other than InputError would escape cli.main and fail here
+    base = {"euler": _bundle_doc, "eval": lambda: POINTS,
+            "realize": lambda: FLAGS4, "itu": lambda: GS}[command]()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_put(base, path, value))))
+    rc = cli.main(_ARGV[command])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "too-deep"])
+def test_unreadable_file_is_an_input_error(tmp_path, capsys, data):
+    p = tmp_path / "doc.json"
+    p.write_bytes(data)
+    assert cli.main(["eval", "pcoc", str(p)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: cannot read JSON")
 
 
 def test_verify_subcommand(capsys):
@@ -184,6 +242,27 @@ def test_only_linalg_clears_denominators():
                 found.append(f"{path.name}:{node.lineno}")
             if (isinstance(node, ast.ImportFrom) and node.module == "math"
                     and any(a.name in ("gcd", "lcm") for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_linalg_decides_input_types():
+    # the rational, integer and sequence rules live in linalg alone: no
+    # other module tests for bool, and serialize builds no Fraction or float
+    pkg = Path(eulerflags.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1]
+                names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in names):
+                    found.append(f"{path.name}:{node.lineno}")
+            if path.name == "serialize.py" and node.func.id in ("Fraction", "float"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -3,17 +3,19 @@
 import doctest
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from eulerflags import cocycles, linalg
-from eulerflags.linalg import (InputError, OddDimensionError, _clear, det, e0,
-                               frame_transform, hereditarily_spanning,
-                               identity, int_vec, mat_vec, ori,
+from eulerflags.linalg import (InputError, OddDimensionError, _clear, _integer,
+                               det, e0, fr, frame_transform,
+                               hereditarily_spanning, identity, int_vec, mat,
+                               mat_vec, ori,
                                primitive_int_vec, projective_normalize,
-                               require_even, sig)
+                               require_even, sig, vec)
 from eulerflags.randgen import RationalSampler
 
 F = Fraction
@@ -48,7 +50,7 @@ def test_sig_rejects_non_square():
 def test_float_and_string_entries():
     # floats are refused as vec refuses them; strings parse as vec parses them
     for fn in (ori, lambda m: int_vec(m[0]), sig):
-        with pytest.raises(InputError, match="float"):
+        with pytest.raises(InputError, match="not a rational"):
             fn(((1.0, 0), (0, 1)))
     assert ori((("1/2", "0"), (" 0", "-3"))) == -1
     assert sig((("2", "1"), ("1", "1"))) == 1
@@ -94,17 +96,20 @@ def test_clear_matches_fraction_definition():
     assert kinds == {"zero", "int", "fraction", "str"}
     assert _clear(()) == (1, ())
     assert _clear((Fraction(-3, 4), 0, -2)) == (4, (-3, 0, -8))
-    # all-int input comes back as is; bool and numpy entries clear to ints
+    # all-int input comes back as is; numpy entries clear to ints, bools raise
     ints = (5, -7, 0, 2 ** 200)
     assert _clear(ints) == (1, ints) and _clear(list(ints)) == (1, ints)
-    for xs, want in (((True, False, -2), (1, (1, 0, -2))),
-                     ((True, np.int64(3), -2), (1, (1, 3, -2))),
-                     ((True, Fraction(1, 2), np.int64(-3)), (2, (2, 1, -6))),
+    for xs, want in (((1, 0, -2), (1, (1, 0, -2))),
+                     ((1, np.int64(3), -2), (1, (1, 3, -2))),
+                     ((1, Fraction(1, 2), np.int64(-3)), (2, (2, 1, -6))),
                      ((np.uint8(7), np.int32(-5)), (1, (7, -5)))):
         got = _clear(xs)
         assert got == want and all(type(x) is int for x in got[1])
     with pytest.raises(InputError):
         _clear((Fraction(1, 2), 0.25))
+    for xs in ((True, 0, -2), (Fraction(1, 2), False)):
+        with pytest.raises(InputError, match="not a rational"):
+            _clear(xs)
 
 
 def test_numpy_integers_become_python_ints():
@@ -231,3 +236,51 @@ def test_require_even():
         require_even(3)
     with pytest.raises(InputError):
         require_even(0)
+
+
+@pytest.mark.parametrize("x, want", [
+    (3, F(3)), (-7, F(-7)), (np.int64(2 ** 40), F(2 ** 40)), (F(-3, 4), F(-3, 4)),
+    ("-3/7", F(-3, 7)), (" 5 ", F(5)), ("2/4", F(1, 2)),
+])
+def test_fr_accepts(x, want):
+    got = fr(x)
+    assert got == want and type(got.numerator) is int
+
+
+@pytest.mark.parametrize("x", [
+    True, False, 1.0, 0.5, np.float64(2), Decimal("1.5"), "abc", "1/0", "",
+    None, [], (1,), 1j,
+])
+def test_fr_rejects(x):
+    with pytest.raises(InputError, match="not a rational"):
+        fr(x)
+
+
+def test_sequence_rules():
+    assert vec(["1/2", 3, F(1)]) == (F(1, 2), F(3), F(1))
+    assert vec(iter((1, 2))) == (F(1), F(2)) and vec([]) == ()
+    assert mat([[1, 0], ("0", "1")]) == identity(2)
+    for bad in (5, None, "12", b"12"):
+        with pytest.raises(InputError, match="vector must be a sequence"):
+            vec(bad)
+        with pytest.raises(InputError, match="matrix must be a sequence"):
+            mat(bad)
+        with pytest.raises(InputError, match="vector must be a sequence"):
+            mat([bad])
+    with pytest.raises(InputError, match="ragged"):
+        mat([[1, 0], [1]])
+    with pytest.raises(InputError, match="not a rational"):
+        vec([1, True])
+
+
+def test_integer_rule():
+    assert _integer(3, "x") == 3 and _integer(-2 ** 70, "x") == -2 ** 70
+    got = _integer(np.int8(-4), "x")
+    assert got == -4 and type(got) is int
+    for bad in (True, False, 2.0, "2", F(2), None, [2]):
+        with pytest.raises(InputError, match="count must be an integer"):
+            _integer(bad, "count")
+    assert type(require_even(np.int64(4))) is int
+    for bad in (2.0, "2", True, None, F(2)):
+        with pytest.raises(InputError, match="ambient dimension must be an integer"):
+            require_even(bad)

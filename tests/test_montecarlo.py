@@ -74,6 +74,9 @@ def test_input_errors():
                      samples=10)
     with pytest.raises(InputError):
         itu_estimate([I2] * 2, samples=10)  # arity: needs n+1 matrices
+    for samples, seed in ((True, 0), (10.0, 0), ("10", 0), (10, 1.5), (10, None)):
+        with pytest.raises(InputError, match="must be an integer"):
+            itu_estimate([I2] * 3, samples=samples, seed=seed)
     with pytest.raises(InputError):
         itu_estimate([I2] * 3, samples=10, mode="simpson")
     with pytest.raises(InputError):

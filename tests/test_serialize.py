@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from eulerflags.linalg import InputError
+from eulerflags.linalg import InputError, fr
 from eulerflags.randgen import RationalSampler
 from eulerflags.serialize import (dump_bundle, dump_flags, dump_points,
                                   fmt_matrix, fmt_rational, load_bundle,
-                                  load_flags, load_gs, load_json, load_points,
-                                  parse_rational)
+                                  load_flags, load_gs, load_json, load_points)
 from eulerflags.simplicial import euler_number
 from eulerflags.surfaces import (fuchsian_octagon_rep, genus_surface_bundle,
                                  rational_flat_rep)
@@ -20,12 +19,12 @@ F = Fraction
 def test_rational_round_trip():
     for s, v in (("-3/4", F(-3, 4)), ("5", F(5)), ("0", F(0)),
                  (" 7/2 ", F(7, 2)), (7, F(7))):
-        assert parse_rational(s) == v
+        assert fr(s) == v
     assert fmt_rational(F(-3, 4)) == "-3/4"
     assert fmt_rational(F(10, 5)) == "2"
     for bad in ("abc", "1/0", True, 1.5, None, []):
         with pytest.raises(InputError):
-            parse_rational(bad)
+            fr(bad)
 
 
 def test_points_round_trip():

@@ -208,7 +208,7 @@ def test_gauge_transform_checks():
         gauge_transform(b, [I2] * 3 + [identity(4)])
     with pytest.raises(InputError, match="rows of length"):
         gauge_transform(b, [I2] * 3 + [((1, 0, 0), (0, 1, 0))])
-    with pytest.raises(InputError, match="float"):
+    with pytest.raises(InputError, match="not a rational"):
         gauge_transform(b, [I2] * 3 + [((1.0, 0), (0, 1))])
 
 

@@ -104,6 +104,13 @@ def test_input_validation():
     rep = [s.glp_matrix(2) for _ in range(4)]
     with pytest.raises(InputError, match="relator"):
         genus_surface_bundle(rep)
+    # floats are read as dyadics in matrices only; other entries and tol
+    # follow linalg.fr
+    for bad in ("abc", None, True):
+        with pytest.raises(InputError, match="not a rational"):
+            genus_surface_bundle([((1, 0), (0, bad))] + [I2] * 3)
+    with pytest.raises(InputError, match="not a rational"):
+        genus_surface_bundle([I2] * 4, tol=1e-9)
 
 
 def test_custom_section():

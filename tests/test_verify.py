@@ -53,9 +53,11 @@ def test_unknown_suite():
 
 
 def test_trial_count_below_one_rejected(capsys):
-    for trials in (-3, 0):
+    for trials in (-3, 0, True, 2.0):
         with pytest.raises(InputError, match="trials"):
             run_suite("descent", 1, trials)
+    with pytest.raises(InputError, match="seed must be an integer"):
+        run_suite("descent", 1.5, 2)
     argv = ["verify", "--suite", "descent", "--trials", "-3", "--seed", "1"]
     assert cli.main(argv) == 1
     out = capsys.readouterr()
