@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import re
 from fractions import Fraction
 
 
@@ -64,16 +65,23 @@ def _seq(xs, what: str) -> tuple:
     return tuple(xs)
 
 
+# an optional sign, ASCII digits, optionally "/" and ASCII digits; no
+# decimal, exponent, underscore or whitespace forms, whose Fraction parse
+# can build integers of unbounded size ("1e4000000")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def fr(x) -> Fraction:
     """x as an exact rational: a Fraction, an int (not a bool) or a rational
-    string such as "-3/7"; anything else raises InputError."""
+    string such as "-3/7" or "+5"; anything else raises InputError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
+        if _RATIONAL.fullmatch(x):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):  # "1/0", over 4300 digits
+                pass
     elif not isinstance(x, bool) and isinstance(x, numbers.Integral):
         return Fraction(int(x))
     raise InputError(f"not a rational: {x!r}")

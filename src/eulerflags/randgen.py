@@ -8,11 +8,13 @@ planting linear dependencies, never by waiting for the RNG to collide.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from .flags import OrientedFlag, make_flag
-from .linalg import InputError, hereditarily_spanning, is_zero_vec, ori, sig
+from .linalg import (InputError, det_sign_int, hereditarily_spanning,
+                     is_zero_vec, ori, sig)
 
 
 class RationalSampler:
@@ -57,6 +59,26 @@ class RationalSampler:
 
     def flags(self, n: int, count: int):
         return tuple(self.flag(n) for _ in range(count))
+
+    def pool_flags(self, n: int, count: int):
+        """count flags whose bases are drawn, with random signs, from one
+        pool of n + 3 nonzero vectors in {-1, 0, 1}^n: shared and repeated
+        lines make the brackets non-generic (selection levels above 0).
+        A pool that spans less than R^n is drawn again."""
+        pool = []
+        while not any(det_sign_int(b) for b in itertools.combinations(pool, n)):
+            pool = []
+            while len(pool) < n + 3:
+                v = tuple(self.rng.randint(-1, 1) for _ in range(n))
+                if any(v):
+                    pool.append(v)
+        Fs = []
+        while len(Fs) < count:
+            basis = [tuple(self.rng.choice((1, -1)) * x for x in v)
+                     for v in self.rng.sample(pool, n)]
+            if det_sign_int(basis):
+                Fs.append(make_flag(basis))
+        return tuple(Fs)
 
     def spanning_tuple(self, n: int, count: int):
         """count >= n vectors, hereditarily spanning."""

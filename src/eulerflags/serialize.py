@@ -2,10 +2,12 @@
 
 A loader maps the keys of a document to constructor arguments and checks
 nothing itself: linalg's three input rules decide every value.  A rational
-(fr) is a JSON integer or a string "p/q" or "p"; JSON floats, booleans and
-null are not rationals and raise InputError("not a rational: ..."), bundle
-transitions included.  An integer (_integer) is a JSON integer, not a
-boolean.  A vector or matrix (_seq) is an array.
+(fr) is a JSON integer or a string "p/q" or "p" (an optional sign and ASCII
+digits; decimal, exponent, underscore and whitespace forms are refused);
+JSON floats, booleans and null are not rationals and raise
+InputError("not a rational: ..."), bundle transitions included.  An integer
+(_integer) is a JSON integer, not a boolean.  A vector or matrix (_seq) is
+an array.
 Point tuples:   { "n": int, "points": [[rational, ...], ...] }
 Flag tuples:    { "n": int, "flags": [[[rational, ...], ...], ...] }
 Bundles:        { "n", "vertices": int, "simplices": [{"v": [int, ...], "c": int}],

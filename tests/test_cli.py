@@ -152,6 +152,7 @@ MALFORMED = [
     ("euler", ["transitions"], 5), ("euler", ["transitions", 0, "i"], [0]),
     ("euler", ["tol"], 1e-9),
     ("eval", ["points"], 5), ("eval", ["n"], 2.0),
+    ("eval", ["points", 0, 0], "1e3000000"),  # refused before Fraction parses it
     ("realize", ["n"], 2.0), ("realize", ["flags"], [5, 5, 5, 5]),
     ("itu", ["gs", 0], [[1, 0], [0, "a"]]), ("itu", ["gs"], 5),
     ("itu", ["gs", 0], [[None, 0], [0, 1]]), ("itu", ["n"], 2.0),

@@ -1,14 +1,17 @@
 """Cochain values, cocycle identities, witnesses, regression formulas."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from eulerflags.cocycles import (coboundary, coc, coco, coboundary_kill_witness,
+from eulerflags.cocycles import (_deleted_brackets, _flipped_bracket_table,
+                                 coboundary, coc, coco, coboundary_kill_witness,
                                  obstruction_witness, pcoc, smi, sul)
-from eulerflags.flags import flag_equal_unoriented, flagstaff, make_flag
-from eulerflags.linalg import (InputError, OddDimensionError, det, e0,
-                               identity, ori, sig)
+from eulerflags.flags import (_IntSpan, flag_equal_unoriented, flagstaff,
+                              make_flag)
+from eulerflags.linalg import (InputError, OddDimensionError, PropertyViolation,
+                               det, det_sign_int, e0, identity, ori, sig)
 from eulerflags.randgen import RationalSampler
 from eulerflags.verify import smi_enumerated
 
@@ -102,6 +105,82 @@ def test_coc_modes_agree():
     for _ in range(60):
         Fs = s.flags(2, 3)
         assert coc(Fs, mode="factorized") == coc(Fs, mode="naive")
+
+
+def _flipped_bracket_sign(bases, pattern, n) -> int:
+    """Oracle for one table entry: the bracket walk of one flip pattern on
+    its own, every slot's selection and span rebuilt from scratch."""
+    span = _IntSpan()
+    chosen = []
+    for a, base in enumerate(bases):
+        for l, iv in enumerate(base):
+            signed = tuple(-x for x in iv) if (pattern >> (a * n + l)) & 1 else iv
+            if not span.contains_int(signed):
+                chosen.append(list(signed))
+                span = span.extended(signed)
+                break
+        else:
+            raise PropertyViolation("a complete flag always extends a proper subspace")
+    return det_sign_int(chosen)
+
+
+def _deleted_bases(Fs):
+    return [[F.ints for a, F in enumerate(Fs) if a != i] for i in range(len(Fs))]
+
+
+def _top_level(Fs):
+    """The highest selection level over the deleted-index brackets."""
+    return max(level for _, level in _deleted_brackets(Fs, Fs[0].n)[1])
+
+
+def test_flip_table_matches_walk_n2_pool():
+    # every pattern of every deleted index, on {-1, 0, 1} pool bases
+    s = RationalSampler(31)
+    tops = []
+    for _ in range(200):
+        Fs = s.pool_flags(2, 3)
+        tops.append(_top_level(Fs))
+        for bases in _deleted_bases(Fs):
+            table = _flipped_bracket_table(bases, 2)
+            assert [int(v) for v in table] \
+                == [_flipped_bracket_sign(bases, p, 2) for p in range(16)]
+    assert 0 in tops and 1 in tops  # selection levels vary
+
+
+@pytest.mark.parametrize("kind", ["generic", "pool"])
+def test_flip_table_matches_walk_n4(kind):
+    s = RationalSampler(32)
+    if kind == "generic":
+        Fs = s.flags(4, 5)
+        assert _top_level(Fs) == 0
+    else:  # the first pool tuple with a selection level above 0
+        Fs = s.pool_flags(4, 5)
+        while _top_level(Fs) == 0:
+            Fs = s.pool_flags(4, 5)
+    rng = random.Random(33)
+    for bases in _deleted_bases(Fs):
+        table = _flipped_bracket_table(bases, 4)
+        for p in rng.sample(range(1 << 16), 2000):
+            assert table[p] == _flipped_bracket_sign(bases, p, 4)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_flip_table_shares_prefixes(n, monkeypatch):
+    # one span extension per prefix of slot bits: sum over a <= n - 2 of
+    # 2^(n(a+1)), 4 at n = 2 and 16 + 256 + 4096 at n = 4, where one walk
+    # per pattern makes n 2^(n*n)
+    calls = []
+    extended = _IntSpan.extended
+
+    def counted(self, iv):
+        calls.append(iv)
+        return extended(self, iv)
+
+    monkeypatch.setattr(_IntSpan, "extended", counted)
+    bases = _deleted_bases(RationalSampler(34).flags(n, n + 1))[0]
+    _flipped_bracket_table(bases, n)
+    assert len(calls) == sum(2 ** (n * (a + 1)) for a in range(n - 1)) \
+        == {2: 4, 4: 4368}[n]
 
 
 def test_coc_naive_budget():

@@ -3,6 +3,7 @@
 import doctest
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -52,7 +53,9 @@ def test_float_and_string_entries():
     for fn in (ori, lambda m: int_vec(m[0]), sig):
         with pytest.raises(InputError, match="not a rational"):
             fn(((1.0, 0), (0, 1)))
-    assert ori((("1/2", "0"), (" 0", "-3"))) == -1
+    assert ori((("1/2", "0"), ("+0", "-3"))) == -1
+    with pytest.raises(InputError, match="not a rational"):
+        ori((("1/2", "0"), (" 0", "-3")))  # whitespace is refused
     assert sig((("2", "1"), ("1", "1"))) == 1
     assert int_vec(("1/2", "-1/3", "0")) == (3, -2, 0)
     with pytest.raises(InputError):
@@ -240,7 +243,7 @@ def test_require_even():
 
 @pytest.mark.parametrize("x, want", [
     (3, F(3)), (-7, F(-7)), (np.int64(2 ** 40), F(2 ** 40)), (F(-3, 4), F(-3, 4)),
-    ("-3/7", F(-3, 7)), (" 5 ", F(5)), ("2/4", F(1, 2)),
+    ("-3/7", F(-3, 7)), ("+5", F(5)), ("2/4", F(1, 2)), ("-007/10", F(-7, 10)),
 ])
 def test_fr_accepts(x, want):
     got = fr(x)
@@ -250,10 +253,22 @@ def test_fr_accepts(x, want):
 @pytest.mark.parametrize("x", [
     True, False, 1.0, 0.5, np.float64(2), Decimal("1.5"), "abc", "1/0", "",
     None, [], (1,), 1j,
+    # only sign, ASCII digits and "/digits": no decimal, exponent,
+    # underscore, whitespace, hex or non-ASCII digit forms
+    "1e3", "1.5", "1_000", " 5 ", "5\n", "0x10", "\u0661", "1/-2", "--1",
+    "inf", "nan", "1/", "/2",
 ])
 def test_fr_rejects(x):
     with pytest.raises(InputError, match="not a rational"):
         fr(x)
+
+
+def test_fr_refuses_exponents_before_parsing():
+    # Fraction("1e4000000") builds a 13-million-bit integer in seconds
+    t0 = time.perf_counter()
+    with pytest.raises(InputError):
+        fr("1e4000000")
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_sequence_rules():

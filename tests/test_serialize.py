@@ -18,11 +18,11 @@ F = Fraction
 
 def test_rational_round_trip():
     for s, v in (("-3/4", F(-3, 4)), ("5", F(5)), ("0", F(0)),
-                 (" 7/2 ", F(7, 2)), (7, F(7))):
+                 ("+7/2", F(7, 2)), (7, F(7))):
         assert fr(s) == v
     assert fmt_rational(F(-3, 4)) == "-3/4"
     assert fmt_rational(F(10, 5)) == "2"
-    for bad in ("abc", "1/0", True, 1.5, None, []):
+    for bad in ("abc", "1/0", " 7/2 ", "0.5", "1e3", True, 1.5, None, []):
         with pytest.raises(InputError):
             fr(bad)
 
@@ -64,6 +64,33 @@ def test_bundle_round_trip_tolerant():
     b2 = load_bundle(doc)
     assert b2.tol == F(1, 10 ** 9)
     assert euler_number(b2)[1] == 1
+
+
+def test_dumped_strings_are_strict_rationals():
+    # every string a dumper writes is sign, digits and "/digits", so the
+    # strict rational rule reads it back
+    s = RationalSampler(5)
+    docs = [dump_points(2, [s.vector(2) for _ in range(3)]),
+            dump_flags(4, s.flags(4, 5)),
+            dump_bundle(genus_surface_bundle(rational_flat_rep(), seed=2)),
+            dump_bundle(genus_surface_bundle(fuchsian_octagon_rep(), seed=2,
+                                             tol=F(1, 10 ** 9)))]
+
+    def strings(x):
+        if isinstance(x, str):
+            yield x
+        elif isinstance(x, dict):
+            for v in x.values():
+                yield from strings(v)
+        elif isinstance(x, list):
+            for v in x:
+                yield from strings(v)
+
+    seen = [t for doc in docs for t in strings(doc)]
+    assert len(seen) > 100 and any("/" in t for t in seen)
+    assert any(t.startswith("-") for t in seen)
+    for t in seen:
+        assert fr(t) == F(t)
 
 
 def test_gs_loader():
