@@ -26,8 +26,11 @@ from .linalg import InputError, PropertyViolation
 
 
 def _as_float_matrix(m):
-    (a, b), (c, d) = m
-    a, b, c, d = float(a), float(b), float(c), float(d)
+    try:
+        (a, b), (c, d) = m
+        a, b, c, d = float(a), float(b), float(c), float(d)
+    except (TypeError, ValueError):
+        raise InputError("circle lifts take 2x2 matrices of numbers") from None
     if a * d - b * c <= 0:
         raise InputError("circle lifts need positive determinant")
     return a, b, c, d
@@ -107,7 +110,7 @@ def euler_number_oracle(rep) -> int:
     # relator sanity: the product should be a positive multiple of Id
     prod = ((1.0, 0.0), (0.0, 1.0))
     for m, inv in word:
-        (e, f), (g, h) = ((float(x) for x in r) for r in m)
+        e, f, g, h = _as_float_matrix(m)
         if inv:
             e, f, g, h = h, -f, -g, e  # adjugate: positive multiple of inverse
         (a, b), (c, d) = prod

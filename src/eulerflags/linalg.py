@@ -29,6 +29,7 @@ import itertools
 import math
 import numbers
 import re
+import reprlib
 from fractions import Fraction
 
 
@@ -44,6 +45,12 @@ class PropertyViolation(AssertionError):
     """A library invariant failed; raised explicitly so it survives -O."""
 
 
+# how a refused value is echoed in an InputError: reprlib's bounded form,
+# one container level deep, so a message stays short whatever the input
+_echo = reprlib.Repr()
+_echo.maxlevel = 1
+
+
 def require_even(n) -> int:
     n = _integer(n, "ambient dimension")
     if n < 2 or n % 2 != 0:
@@ -54,14 +61,14 @@ def require_even(n) -> int:
 def _integer(x, what: str) -> int:
     """x as an int, for integral x other than bool; else InputError."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise InputError(f"{what} must be an integer, got {x!r}")
+        raise InputError(f"{what} must be an integer, got {_echo.repr(x)}")
     return int(x)  # a numpy integer would stay fixed width
 
 
 def _seq(xs, what: str) -> tuple:
     """xs as a tuple, for a non-string iterable; else InputError."""
     if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
-        raise InputError(f"{what} must be a sequence, got {xs!r}")
+        raise InputError(f"{what} must be a sequence, got {_echo.repr(xs)}")
     return tuple(xs)
 
 
@@ -84,7 +91,7 @@ def fr(x) -> Fraction:
                 pass
     elif not isinstance(x, bool) and isinstance(x, numbers.Integral):
         return Fraction(int(x))
-    raise InputError(f"not a rational: {x!r}")
+    raise InputError(f"not a rational: {_echo.repr(x)}")
 
 
 def vec(xs) -> tuple[Fraction, ...]:

@@ -13,16 +13,21 @@ triangles — Euler characteristic 2 - 2g.
 Transitions.  Every raw boundary position p carries a word delta(p) in the
 free group on a_t, b_t transporting the preferred copy of its class to p;
 the transition for an ordered vertex pair inside a triangle is
-rho(delta(x)) . rho(delta(y))^-1.  Crossing a glued side multiplies delta by
+rho(delta(x) . delta(y)^-1).  Crossing a glued side multiplies delta by
 the pairing letter: a-pairs act by the *inverse* letter and b-pairs by the
 letter itself.  That exponent convention is the unique one whose corner-walk
 closure word reduces to the surface relator [a_1,b_1]...[a_g,b_g], so the
 transition collisions between neighbouring triangles cancel exactly whenever
-rho satisfies the relator; the builder asserts every collision.
+rho satisfies the relator; the builder checks every collision.
 
-Float entries of a representation (hyperbolic holonomies) are embedded as
-exact dyadic rationals, the one exception to linalg.fr, and validated with a
-caller-supplied tolerance; exact rational ones validate with tol = 0.
+Integers.  Each letter is cleared once by linalg's rule to (L, G = L A),
+float entries (hyperbolic holonomies) first read as exact dyadic rationals,
+the one exception to linalg.fr; its inverse is linalg._inverse of that pair.
+rho of a freely reduced word is the product of its cleared letters, once per
+word.  The relator and every collision are judged by simplicial._close, the
+rule validate applies: exact at tol = 0 (rational data), else within the
+relative tol on a scale covering both matrices.  Each distinct word becomes
+one Fraction matrix, shared by the pairs that use it.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import (InputError, PropertyViolation, det, fr, identity, mat_inv,
-                     mat_mul)
+from .linalg import (InputError, PropertyViolation, _clear_matrix, _inverse,
+                     _seq, det_sign_int, fr, mat_mul)
 from .randgen import RationalSampler
-from .simplicial import FlatBundleComplex
+from .simplicial import FlatBundleComplex, _close
 
 # pairing exponents, calibrated so the corner-walk closure word IS the
 # relator (the only surviving choice; see test suite)
@@ -50,11 +55,11 @@ def _wreduce(word):
             out.pop()
         else:
             out.append((l, e))
-    return out
+    return tuple(out)
 
 
 def _winv(word):
-    return [(l, -e) for l, e in reversed(word)]
+    return tuple((l, -e) for l, e in reversed(word))
 
 
 def _side_letter(j):
@@ -72,7 +77,7 @@ def _mu(side):
     """The pairing word mapping points of `side` onto its partner side."""
     letter, sgn = _side_letter(side)
     eps = _EPS_A if letter % 2 == 0 else _EPS_B
-    return [(letter, eps * sgn)]
+    return ((letter, eps * sgn),)
 
 
 def _corner_walk(g):
@@ -83,8 +88,8 @@ def _corner_walk(g):
     consistency holonomy, which must map to the identity under rho.
     """
     N = 4 * g
-    deltas = {0: []}
-    corner, word = 0, []
+    deltas = {0: ()}
+    corner, word = 0, ()
     for _ in range(N):
         mu = _mu(corner)                    # the side starting at this corner
         corner = (_partner(corner) + 1) % N
@@ -99,13 +104,17 @@ def _corner_walk(g):
 
 
 def _to_matrix(m):
-    rows = tuple(tuple(Fraction(x) if isinstance(x, float) else fr(x) for x in row)
-                 for row in m)
+    """(L, G) of a representation matrix, cleared by linalg's rule; finite
+    float entries are read as exact dyadic rationals first, and every other
+    entry (NaN and infinities included) is left to linalg.fr."""
+    rows = [[Fraction(x) if isinstance(x, float) and math.isfinite(x) else x
+             for x in _seq(row, "matrix row")] for row in _seq(m, "matrix")]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise InputError("surface representations take 2x2 matrices")
-    if det(rows) <= 0:
+    lg = _clear_matrix(rows)
+    if det_sign_int(lg[1]) <= 0:
         raise InputError("representation matrices need positive determinant")
-    return rows
+    return lg
 
 
 def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
@@ -119,104 +128,83 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
     section is drawn.  The chain is the counterclockwise fundamental cycle,
     all coefficients +1.
     """
-    rep = [_to_matrix(m) for m in rep]
+    rep = [_to_matrix(m) for m in _seq(rep, "representation")]
     if not rep or len(rep) % 2:
         raise InputError("need matrices (A_1, B_1, ..., A_g, B_g)")
     g = len(rep) // 2
     N = 4 * g
     tol = fr(tol)
 
-    letters = {}
-    for l, m in enumerate(rep):
-        letters[(l, 1)], letters[(l, -1)] = m, mat_inv(m)
+    letters = {(l, e): lg if e == 1 else _inverse(*lg)
+               for l, lg in enumerate(rep) for e in (1, -1)}
+    ident = ((1, 0), (0, 1))
+    cleared = {(): (1, ident)}
 
     def rho(word):
-        m = identity(2)
-        for letter in word:
-            m = mat_mul(m, letters[letter])
-        return m
+        """(L, G) of a freely reduced word, memoized with its prefixes."""
+        lg = cleared.get(word)
+        if lg is None:
+            (l1, g1), (l2, g2) = rho(word[:-1]), letters[word[-1]]
+            lg = cleared[word] = l1 * l2, mat_mul(g1, g2)
+        return lg
 
     cdeltas, closure = _corner_walk(g)
-    defect = rho(closure)
-    scale = max([Fraction(1)] + [abs(x) for row in defect for x in row])
-    if any(abs(defect[i][j] - (1 if i == j else 0)) > tol * scale
-           for i in range(2) for j in range(2)):
+    l, m = rho(closure)
+    if not _close(m, l, ident, 1, tol):
         raise InputError("representation does not satisfy the surface "
                          "relator (within tol)" if tol else
                          "representation does not satisfy the surface relator")
 
-    # vertex classes: 0 center | 1..3N ring | 3N+1 corners | 3N+2.. midpoints
-    CEN = 0
-    VSTAR = 3 * N + 1
-    mclass = {}
-    next_id = 3 * N + 2
-    for k in range(N):
-        if k % 4 < 2:                       # positive side owns the pair
-            kp = _partner(k)
-            for slot, pslot in ((1, 2), (2, 1)):
-                mclass[(k, slot)] = mclass[(kp, pslot)] = next_id
-                next_id += 1
-    nverts = next_id
-
-    def boundary_class(j):
-        k, r = divmod(j % (3 * N), 3)
-        return VSTAR if r == 0 else mclass[(k, r)]
-
-    # transport word for each raw boundary position
-    delta = {}
+    # vertex classes: 0 center | 1..3N ring | 3N+1 corners | 3N+2.. midpoints.
+    # Each raw boundary position carries its class and its transport word
+    # delta; the positive side of a glued pair numbers the pair's midpoint
+    # classes and holds their preferred copies.  Ring vertices and the
+    # center carry the empty word.
+    CEN, VSTAR = 0, 3 * N + 1
+    nverts = VSTAR + 1
+    boundary = []
     for j in range(3 * N):
         k, r = divmod(j, 3)
         if r == 0:
-            delta[j] = cdeltas[k]
+            boundary.append((VSTAR, cdeltas[k]))
         elif k % 4 < 2:
-            delta[j] = []                   # the preferred copy of its class
+            boundary.append((nverts, ()))
+            nverts += 1
         else:
-            delta[j] = _winv(_mu(_partner(k)))
-
-    # rho(delta) and its inverse, once per raw boundary position; interior
-    # vertices carry the empty word, whose identity factor is never multiplied
-    frames = {}
-    for j in range(3 * N):
-        r = rho(delta[j])
-        frames[j] = (r, mat_inv(r))
-    one = identity(2)
-    interior = (one, one)
-
-    transitions = {}
-
-    def store(ci, cj, m):
-        if ci == cj:
-            return
-        old = transitions.get((ci, cj))
-        if old is None:
-            transitions[(ci, cj)] = m
-            return
-        sc = max([Fraction(1)] + [abs(x) for row in old for x in row])
-        if any(abs(a - b) > tol * sc
-               for ra, rb in zip(old, m) for a, b in zip(ra, rb)):
-            raise PropertyViolation(
-                f"inconsistent transition for vertex pair ({ci}, {cj})")
+            kp = _partner(k)
+            boundary.append((boundary[3 * kp + 3 - r][0], _winv(_mu(kp))))
 
     # triangles, all counterclockwise: fan (center, ring, ring), band
-    # (ring, boundary, boundary), band (ring, boundary, ring)
-    simplices = []
-    ring = lambda j: 1 + (j % (3 * N))
+    # (ring, boundary, boundary), band (ring, boundary, ring).  The
+    # transition of a pair is rho(delta(x) . delta(y)^-1), kept by word; a
+    # pair met again must get a close matrix
+    simplices, words = [], {}
+    ring = lambda j: (1 + j, ())
     for j in range(3 * N):
         j1 = (j + 1) % (3 * N)
-        for tri in (((CEN, interior), (ring(j), interior),
-                     (ring(j1), interior)),
-                    ((ring(j), interior), (boundary_class(j), frames[j]),
-                     (boundary_class(j1), frames[j1])),
-                    ((ring(j), interior), (boundary_class(j1), frames[j1]),
-                     (ring(j1), interior))):
+        bj, bj1 = boundary[j], boundary[j1]
+        for tri in (((CEN, ()), ring(j), ring(j1)), (ring(j), bj, bj1),
+                    (ring(j), bj1, ring(j1))):
             classes = tuple(c for c, _ in tri)
             if len(set(classes)) != 3:
                 raise PropertyViolation(f"degenerate triangle {classes}")
-            for (ci, (ri, _)), (cj, (_, rj_inv)) in itertools.permutations(
-                    tri, 2):
-                store(ci, cj, ri if rj_inv is one else
-                      rj_inv if ri is one else mat_mul(ri, rj_inv))
+            for (ci, wi), (cj, wj) in itertools.permutations(tri, 2):
+                word = _wreduce(wi + _winv(wj))
+                old = words.setdefault((ci, cj), word)
+                if old != word:
+                    (la, ga), (lb, gb) = rho(old), rho(word)
+                    if not _close(ga, la, gb, lb, tol):
+                        raise PropertyViolation(
+                            f"inconsistent transition for vertex pair ({ci}, {cj})")
             simplices.append((classes, 1))
+
+    # one Fraction matrix per distinct word, shared by its pairs
+    fractions = {}
+    for word in words.values():
+        if word not in fractions:
+            l, m = rho(word)
+            fractions[word] = tuple(tuple(Fraction(x, l) for x in r) for r in m)
+    transitions = {pair: fractions[word] for pair, word in words.items()}
 
     if section is None:
         samp = RationalSampler(seed, m=9)

@@ -106,3 +106,6 @@ def test_oracle_input_errors():
     with pytest.raises(InputError, match="relator"):
         euler_number_oracle((_rand_glp(rng), _rand_glp(rng),
                              _rand_glp(rng), _rand_glp(rng)))
+    # an entry float() refuses is an input error, not a bare ValueError
+    with pytest.raises(InputError, match="2x2 matrices of numbers"):
+        euler_number_oracle((((1, 0), (0, "abc")),) + (((1, 0), (0, 1)),) * 3)

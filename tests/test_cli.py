@@ -175,6 +175,16 @@ def test_malformed_input_is_one_error_line(capsys, monkeypatch, command, path,
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+def test_huge_malformed_rational_is_one_short_error_line():
+    # a 1 MB rational string is echoed in a bounded form, not in full
+    doc = _put(POINTS, ["points", 0, 0], "1" * 10 ** 6 + ".5")
+    r = subprocess.run([sys.executable, "-m", "eulerflags.cli", "eval", "pcoc", "-"],
+                       input=json.dumps(doc).encode(), capture_output=True)
+    lines = r.stderr.splitlines()
+    assert r.returncode == 1 and r.stdout == b"" and len(lines) == 1
+    assert lines[0].startswith(b"error: not a rational: ") and len(lines[0]) < 200
+
+
 @pytest.mark.parametrize("data", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
                          ids=["not-utf8", "too-deep"])
 def test_unreadable_file_is_an_input_error(tmp_path, capsys, data):
@@ -280,6 +290,22 @@ def test_only_linalg_reads_det_int():
             if ((isinstance(node, ast.Name) and node.id == "_det_int")
                     or (isinstance(node, ast.Attribute) and node.attr == "_det_int")
                     or (isinstance(node, ast.alias) and node.name == "_det_int")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_linalg_inverts():
+    # no library module outside linalg calls its Fraction inverse mat_inv:
+    # they invert cleared integer pairs by the one inverse, linalg._inverse
+    pkg = Path(eulerflags.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Name) and node.id == "mat_inv")
+                    or (isinstance(node, ast.Attribute) and node.attr == "mat_inv")
+                    or (isinstance(node, ast.alias) and node.name == "mat_inv")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

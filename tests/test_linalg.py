@@ -12,7 +12,7 @@ import pytest
 
 from eulerflags import cocycles, linalg
 from eulerflags.linalg import (InputError, OddDimensionError, _clear, _integer,
-                               det, e0, fr, frame_transform,
+                               _seq, det, e0, fr, frame_transform,
                                hereditarily_spanning, identity, int_vec, mat,
                                mat_vec, ori,
                                primitive_int_vec, projective_normalize,
@@ -299,3 +299,16 @@ def test_integer_rule():
     for bad in (2.0, "2", True, None, F(2)):
         with pytest.raises(InputError, match="ambient dimension must be an integer"):
             require_even(bad)
+
+
+@pytest.mark.parametrize("rule, message", [
+    (fr, "not a rational: '1111"),
+    (lambda x: _integer(x, "count"), "count must be an integer, got '1111"),
+    (lambda x: _seq(x, "vector"), "vector must be a sequence, got '1111"),
+], ids=["fr", "integer", "seq"])
+def test_refused_value_is_echoed_bounded(rule, message):
+    # a 1 MB refused value is echoed in reprlib's bounded form, so the
+    # message stays short whatever the size of the input
+    with pytest.raises(InputError) as info:
+        rule("1" * 10 ** 6 + ".5")
+    assert str(info.value).startswith(message) and len(str(info.value)) < 200

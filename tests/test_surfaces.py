@@ -111,6 +111,15 @@ def test_input_validation():
             genus_surface_bundle([((1, 0), (0, bad))] + [I2] * 3)
     with pytest.raises(InputError, match="not a rational"):
         genus_surface_bundle([I2] * 4, tol=1e-9)
+    # a float entry must be finite to be read as a dyadic
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError, match="not a rational"):
+            genus_surface_bundle([((1.0, 0.0), (0.0, bad))] + [I2] * 3)
+    # matrices and rows are read by linalg's sequence rule
+    with pytest.raises(InputError, match="matrix must be a sequence"):
+        genus_surface_bundle([5] + [I2] * 3)
+    with pytest.raises(InputError, match="matrix row must be a sequence"):
+        genus_surface_bundle([(5, 5)] + [I2] * 3)
 
 
 def test_custom_section():
@@ -145,15 +154,23 @@ def test_uncertifiable_section_on_tolerant_bundle():
     assert hit, "expected an exactly incoherent simplex to refuse"
 
 
+FUCHSIAN = fuchsian_octagon_rep()
+
+
 @pytest.mark.parametrize("rep, digest", [
     ([I2] * 4,
      "28012fc7156a7d5dc81af0ae3db1fa91e171f8dbb3b3c96ea5e03392ce8c9105"),
     (rational_flat_rep(),
      "9c95fe995b10efe5e27671b022413c287a3ef8a64f81e82a5fe16809d73711cd"),
+    (FUCHSIAN,
+     "73ef18a65d5fd267578a1822c8f9d0f36116768bd5f5bd0c83f4479a0d0740a9"),
+    ([I2] * 8,
+     "d562b46d2c14506ac8d245c3319d2aaa6b5c4af08885c9878a63a9c6c7cf5d97"),
 ])
 def test_bundle_bytes_pinned(rep, digest):
-    # the serialized genus-2 bundles (every transition and the seeded
-    # section) are pinned byte for byte: the build may be made cheaper, but
-    # it may not change a single transition
-    doc = json.dumps(dump_bundle(genus_surface_bundle(rep, seed=0)))
+    # the serialized bundles (every transition, the seeded section and the
+    # tolerance of the float holonomy) are pinned byte for byte: the build
+    # may be made cheaper, but it may not change a single transition
+    tol = TOL if rep is FUCHSIAN else 0
+    doc = json.dumps(dump_bundle(genus_surface_bundle(rep, seed=0, tol=tol)))
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
