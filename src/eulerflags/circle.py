@@ -8,14 +8,18 @@ canonical lift
 
     L_M(t) = t + atan2(<u_t x P u_t>, <u_t . P u_t>) + phi,
 
-with the angle correction in (-pi/2, pi/2) since u_t . P u_t > 0.  The
-inverse lift must be built from the *negation* of the same polar angle (the
+with the angle correction in (-pi/2, pi/2) since u_t . P u_t > 0.
+
+Each letter of a word, M or M^-1, is read once into a record (a, b, c, d,
+phi): the floats of M and its polar angle, or for M^-1 the adjugate
+(d, -b, -c, a), a positive multiple of M^-1 with the same circle action,
+and -phi.  The inverse must carry the *negation* of M's polar angle (the
 adjugate's own atan2 lands on the opposite branch when c == b and the trace
-is negative, which would silently shift the lift by a full turn), so word
-evaluation tracks (matrix, inverted) pairs rather than adjugated matrices.
-The lift of a relator word that multiplies to the identity matrix is then a
-translation by 2 pi e: evaluating at 0 reads off the Euler number e of the
-flat bundle over the closed surface.
+is negative, which would silently shift the lift by a full turn); with it
+the two lifts are exact functional inverses.  The lift of a relator word
+that multiplies to the identity matrix is then a translation by 2 pi e:
+evaluating at 0 reads off the Euler number e of the flat bundle over the
+closed surface.
 """
 
 from __future__ import annotations
@@ -25,72 +29,31 @@ import math
 from .linalg import InputError, PropertyViolation
 
 
-def _as_float_matrix(m):
+def _letter(m, inverted: bool):
+    """The record (a, b, c, d, phi) of the letter m, or m^-1 if inverted."""
     try:
         (a, b), (c, d) = m
         a, b, c, d = float(a), float(b), float(c), float(d)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError("circle lifts take 2x2 matrices of numbers") from None
     if a * d - b * c <= 0:
         raise InputError("circle lifts need positive determinant")
-    return a, b, c, d
+    phi = math.atan2(c - b, a + d)
+    return (d, -b, -c, a, -phi) if inverted else (a, b, c, d, phi)
 
 
-def _lift_from(m, phi):
-    """Lift closure for the action of m, using the supplied polar angle.
-
-    phi must satisfy R_{-phi} m = P positive definite; both the atan2 value
-    and its exact negation-for-the-adjugate qualify.
-    """
-    a, b, c, d = m
+def _lift(letter, t: float) -> float:
+    """The canonical lift of the letter's circle action, applied at t; phi
+    must make R_{-phi} (a, b, c, d) = P positive definite."""
+    a, b, c, d, phi = letter
     cp, sp = math.cos(-phi), math.sin(-phi)
     p11, p12 = cp * a - sp * c, cp * b - sp * d
     p21, p22 = sp * a + cp * c, sp * b + cp * d
     if not p11 + p22 > 0:
         raise PropertyViolation("polar part is not positive definite")
-
-    def L(t: float) -> float:
-        x, y = math.cos(t), math.sin(t)
-        px, py = p11 * x + p12 * y, p21 * x + p22 * y
-        return t + math.atan2(x * py - y * px, x * px + y * py) + phi
-
-    return L
-
-
-def _polar_angle(m) -> float:
-    a, b, c, d = m
-    return math.atan2(c - b, a + d)
-
-
-def lift(m):
-    """The canonical lift R -> R of the direction-circle action of m."""
-    fm = _as_float_matrix(m)
-    return _lift_from(fm, _polar_angle(fm))
-
-
-def inverse_lift(m):
-    """The exact functional inverse of lift(m).
-
-    Uses the adjugate (a positive multiple of m^-1, hence the same circle
-    action) with polar angle -phi(m), which makes the composition cancel
-    identically rather than up to a deck translation.
-    """
-    a, b, c, d = _as_float_matrix(m)
-    return _lift_from((d, -b, -c, a), -_polar_angle((a, b, c, d)))
-
-
-def commutator_word(x, y):
-    """[x, y] = x y x^-1 y^-1 as (matrix, inverted) letters."""
-    return [(x, False), (y, False), (x, True), (y, True)]
-
-
-def word_lift(word, t: float = 0.0) -> float:
-    """Apply the composed canonical lift of a word of (matrix, inverted)
-    letters to t (the rightmost letter acts first, matching matrix products
-    acting on column vectors)."""
-    for m, inv in reversed(list(word)):
-        t = (inverse_lift if inv else lift)(m)(t)
-    return t
+    x, y = math.cos(t), math.sin(t)
+    px, py = p11 * x + p12 * y, p21 * x + p22 * y
+    return t + math.atan2(x * py - y * px, x * px + y * py) + phi
 
 
 def euler_number_oracle(rep) -> int:
@@ -103,24 +66,22 @@ def euler_number_oracle(rep) -> int:
     rep = list(rep)
     if len(rep) < 2 or len(rep) % 2:
         raise InputError("need matrices (A_1, B_1, ..., A_g, B_g)")
-    word = []
-    for t in range(0, len(rep), 2):
-        word += commutator_word(rep[t], rep[t + 1])
+    # [x, y] = x y x^-1 y^-1; the rightmost letter acts first
+    word = [_letter(m, inv) for x, y in zip(rep[::2], rep[1::2])
+            for m, inv in ((x, False), (y, False), (x, True), (y, True))]
 
     # relator sanity: the product should be a positive multiple of Id
-    prod = ((1.0, 0.0), (0.0, 1.0))
-    for m, inv in word:
-        e, f, g, h = _as_float_matrix(m)
-        if inv:
-            e, f, g, h = h, -f, -g, e  # adjugate: positive multiple of inverse
-        (a, b), (c, d) = prod
-        prod = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-    scale = max(abs(prod[0][0]), abs(prod[1][1]))
-    if not (abs(prod[0][1]) <= 1e-6 * scale and abs(prod[1][0]) <= 1e-6 * scale
-            and abs(prod[0][0] - prod[1][1]) <= 1e-6 * scale and prod[0][0] > 0):
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for e, f, g, h, _ in word:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    scale = max(abs(a), abs(d))
+    if not (abs(b) <= 1e-6 * scale and abs(c) <= 1e-6 * scale
+            and abs(a - d) <= 1e-6 * scale and a > 0):
         raise InputError("relator word does not multiply to a positive multiple of Id")
 
-    total = word_lift(word, 0.0)
+    total = 0.0
+    for letter in reversed(word):
+        total = _lift(letter, total)
     e = total / (2 * math.pi)
     if abs(e - round(e)) > 1e-6:
         raise PropertyViolation(f"rotation number {e} is not close to an integer")

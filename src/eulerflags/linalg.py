@@ -46,8 +46,17 @@ class PropertyViolation(AssertionError):
 
 
 # how a refused value is echoed in an InputError: reprlib's bounded form,
-# one container level deep, so a message stays short whatever the input
-_echo = reprlib.Repr()
+# one container level deep, so a message stays short whatever the input;
+# an int past repr's digit limit is echoed by its bit length
+class _Echo(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_echo = _Echo()
 _echo.maxlevel = 1
 
 

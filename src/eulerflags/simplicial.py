@@ -61,24 +61,19 @@ class NonGenericSection(InputError):
 def chain_boundary(simplices):
     """Boundary of an integer chain of ordered simplices.
 
-    Faces are canonicalized by sorting their vertices and tracking the
-    permutation parity; returns {sorted face: coefficient} without zeros.
+    Faces are canonicalized by sorting their vertices, with the sign of
+    the sorting permutation: (-1) to the number of inversions of the face;
+    returns {sorted face: coefficient} without zeros.
     """
     out: dict[tuple, int] = {}
     for verts, c in simplices:
         for i in range(len(verts)):
             face = verts[:i] + verts[i + 1:]
-            perm = sorted(range(len(face)), key=lambda k: face[k])
-            key = tuple(face[k] for k in perm)
+            key = tuple(sorted(face))
             if len(set(key)) != len(key):
                 raise InputError(f"repeated vertex in simplex {verts}")
-            par = 1
-            seen = list(perm)
-            for a in range(len(seen)):  # parity by counting inversions
-                for b in range(a + 1, len(seen)):
-                    if seen[a] > seen[b]:
-                        par = -par
-            coeff = out.get(key, 0) + c * (-1) ** i * par
+            inversions = sum(x > y for x, y in itertools.combinations(face, 2))
+            coeff = out.get(key, 0) + c * (-1) ** (i + inversions)
             if coeff:
                 out[key] = coeff
             else:
@@ -103,8 +98,9 @@ def _close(a, da, b, db, tol):
 
 class FlatBundleComplex:
     """n: even rank; vertices: count; simplices: [(vertex tuple, coeff)];
-    transitions: {(i, j): matrix} or ((i, j), matrix) pairs, stored
-    read-only; section: [vector per vertex]; tol: rational."""
+    transitions: {(i, j): matrix} or ((i, j), matrix) pairs, each (i, j)
+    at most once, stored read-only; section: [vector per vertex]; tol:
+    rational."""
 
     __slots__ = ("n", "vertices", "simplices", "transitions", "section",
                  "tol", "_pairs", "_ints")
@@ -117,9 +113,13 @@ class FlatBundleComplex:
              _integer(c, "chain coefficient")) for verts, c in simplices)
         if isinstance(transitions, Mapping):
             transitions = transitions.items()
-        self.transitions = MappingProxyType({
-            (_integer(i, "transition key"), _integer(j, "transition key")): mat(g)
-            for (i, j), g in transitions})
+        stored = {}
+        for (i, j), g in transitions:
+            i, j = _integer(i, "transition key"), _integer(j, "transition key")
+            if (i, j) in stored:
+                raise InputError(f"transition pair ({i}, {j}) is repeated")
+            stored[(i, j)] = mat(g)
+        self.transitions = MappingProxyType(stored)
         self.tol = fr(tol)
         if self.tol < 0:
             raise InputError("tol must be nonnegative")
@@ -210,7 +210,7 @@ class FlatBundleComplex:
                         raise InputError(
                             f"cocycle rule fails on ({a},{b},{c}) within simplex {verts}")
 
-    def simplex_sections(self, verts, base: int = 0):
+    def simplex_sections(self, verts, base: int):
         """Section values of a simplex transported to the trivialization of
         the base-th vertex, in stored vertex order, as integer vectors.
 

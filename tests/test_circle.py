@@ -1,12 +1,12 @@
 """Canonical circle lifts and the rotation-number Euler oracle."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from eulerflags.circle import (commutator_word, euler_number_oracle,
-                               inverse_lift, lift, word_lift)
+from eulerflags.circle import _letter, _lift, euler_number_oracle
 from eulerflags.linalg import InputError
 from eulerflags.surfaces import fuchsian_octagon_rep, rational_flat_rep
 
@@ -24,26 +24,32 @@ def _rand_glp(rng, spread=2.0):
             return m
 
 
+def _at(m, inverted=False):
+    """The canonical lift of m (or of m^-1) as a function of t."""
+    letter = _letter(m, inverted)
+    return lambda t: _lift(letter, t)
+
+
 def test_rotation_lift():
     th = 0.7
     R = ((math.cos(th), -math.sin(th)), (math.sin(th), math.cos(th)))
-    L = lift(R)
+    L = _at(R)
     for t in (-1.0, 0.0, 2.5, 9.0):
         assert abs(L(t) - (t + th)) < 1e-12
 
 
 def test_quarter_turn_and_boost():
     J = ((0.0, -1.0), (1.0, 0.0))
-    assert abs(lift(J)(0.0) - math.pi / 2) < 1e-12
+    assert abs(_at(J)(0.0) - math.pi / 2) < 1e-12
     H = ((2.0, 0.0), (0.0, 0.5))
-    assert abs(lift(H)(0.0)) < 1e-12  # e_1 direction is fixed
+    assert abs(_at(H)(0.0)) < 1e-12  # e_1 direction is fixed
 
 
 def test_lift_is_a_lift():
     rng = random.Random(5)
     for _ in range(25):
         m = _rand_glp(rng)
-        L = lift(m)
+        L = _at(m)
         for t in (-2.0, 0.3, 4.0):
             assert abs(L(t + TAU) - L(t) - TAU) < 1e-9
             # projects to the circle action
@@ -58,17 +64,39 @@ def test_inverse_lift_inverts():
     rng = random.Random(9)
     mats = [NASTY] + [_rand_glp(rng) for _ in range(25)]
     for m in mats:
-        L, Li = lift(m), inverse_lift(m)
+        L, Li = _at(m), _at(m, True)
         for t in (-3.0, 0.0, 1.2, 7.7):
             assert abs(L(Li(t)) - t) < 1e-9
             assert abs(Li(L(t)) - t) < 1e-9
 
 
-def test_word_structure():
-    x, y = ((1.0, 1.0), (0.0, 1.0)), ((1.0, 0.0), (1.0, 1.0))
-    assert commutator_word(x, y) == [(x, False), (y, False),
-                                     (x, True), (y, True)]
-    assert word_lift([], 0.4) == 0.4
+def test_lifts_pinned():
+    # sha256 of the repr of every lift value, plain and inverted, and of
+    # every raw relator total (the composed lift of the commutator word at
+    # 0, before the division by 2 pi): the floats are pinned bit for bit,
+    # so neither the inverse's branch rule nor the word order can drift
+    rng = random.Random(7)
+    mats = [NASTY] + [_rand_glp(rng) for _ in range(40)]
+    vals = [_lift(_letter(m, inv), t) for inv in (False, True) for m in mats
+            for t in (-3.0, 0.0, 1.2, 7.7)]
+    assert hashlib.sha256(repr(vals).encode()).hexdigest() == (
+        "4db186ec4fab7740de2794b77a863f0ec4453ac91ccf369a429ccc83cd6a9f94")
+    reps = [fuchsian_octagon_rep(), rational_flat_rep()]
+    rng = random.Random(1)
+    for _ in range(20):
+        a, b = _rand_glp(rng), _rand_glp(rng)
+        reps.append((a, b, b, a))
+    totals = []
+    for rep in reps:
+        word = [_letter(m, inv) for k in range(0, len(rep), 2)
+                for m, inv in ((rep[k], False), (rep[k + 1], False),
+                               (rep[k], True), (rep[k + 1], True))]
+        t = 0.0
+        for letter in reversed(word):
+            t = _lift(letter, t)
+        totals.append(t)
+    assert hashlib.sha256(repr(totals).encode()).hexdigest() == (
+        "c589f8089d9665b33674347f3ef60b37d5eaa2e256304c4a9bddaaacef69516c")
 
 
 def test_oracle_zero_families():
@@ -101,7 +129,9 @@ def test_oracle_input_errors():
         euler_number_oracle((NASTY,))  # odd length
     neg = ((1.0, 0.0), (0.0, -1.0))
     with pytest.raises(InputError):
-        lift(neg)
+        _letter(neg, False)
+    with pytest.raises(InputError):
+        _letter(neg, True)
     rng = random.Random(2)
     with pytest.raises(InputError, match="relator"):
         euler_number_oracle((_rand_glp(rng), _rand_glp(rng),
@@ -109,3 +139,6 @@ def test_oracle_input_errors():
     # an entry float() refuses is an input error, not a bare ValueError
     with pytest.raises(InputError, match="2x2 matrices of numbers"):
         euler_number_oracle((((1, 0), (0, "abc")),) + (((1, 0), (0, 1)),) * 3)
+    # as is one too large for a float, not a bare OverflowError
+    with pytest.raises(InputError, match="2x2 matrices of numbers"):
+        euler_number_oracle((((10 ** 400, 0), (0, 1)),) + (((1, 0), (0, 1)),) * 3)

@@ -91,6 +91,19 @@ def test_euler_rejects_float_transition(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "error: not a rational: 1.0"
 
 
+def test_euler_rejects_repeated_transition_pair(tmp_path, capsys):
+    # (0, 1) listed first with another matrix: refused, not overwritten
+    doc = _bundle_doc()
+    doc["transitions"].insert(0, {"i": 0, "j": 1,
+                                  "g": [["5", "0"], ["0", "1/5"]]})
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["euler", str(p)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: transition pair (0, 1) is repeated\n"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("c", 1.7, "chain coefficient"),
     ("vertices", 34.9, "vertex count"),
@@ -307,6 +320,30 @@ def test_only_linalg_inverts():
                     or (isinstance(node, ast.Attribute) and node.attr == "mat_inv")
                     or (isinstance(node, ast.alias) and node.name == "mat_inv")):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_exact_modules_have_no_floats():
+    # an exact path holds no float: no float literal, no float() call and
+    # no math or cmath name beyond the integer gcd, lcm and prod
+    pkg = Path(eulerflags.__file__).parent
+    allowed = {"gcd", "lcm", "prod"}
+    found = []
+    for name in ("linalg", "flags", "cocycles", "simplicial", "serialize",
+                 "verify", "cli"):
+        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text())):
+            literal = isinstance(node, ast.Constant) and type(node.value) is float
+            call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float")
+            attr = (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("math", "cmath")
+                    and node.attr not in allowed)
+            imported = (isinstance(node, ast.ImportFrom)
+                        and node.module in ("math", "cmath")
+                        and any(a.name not in allowed for a in node.names))
+            if literal or call or attr or imported:
+                found.append(f"{name}.py:{node.lineno}")
     assert found == []
 
 

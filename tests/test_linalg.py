@@ -301,14 +301,22 @@ def test_integer_rule():
             require_even(bad)
 
 
-@pytest.mark.parametrize("rule, message", [
-    (fr, "not a rational: '1111"),
-    (lambda x: _integer(x, "count"), "count must be an integer, got '1111"),
-    (lambda x: _seq(x, "vector"), "vector must be a sequence, got '1111"),
-], ids=["fr", "integer", "seq"])
-def test_refused_value_is_echoed_bounded(rule, message):
-    # a 1 MB refused value is echoed in reprlib's bounded form, so the
-    # message stays short whatever the size of the input
+HUGE = "1" * 10 ** 6 + ".5"
+
+
+@pytest.mark.parametrize("rule, value, message", [
+    (fr, HUGE, "not a rational: '1111"),
+    (lambda x: _integer(x, "count"), HUGE, "count must be an integer, got '1111"),
+    (lambda x: _seq(x, "vector"), HUGE, "vector must be a sequence, got '1111"),
+    (vec, 10 ** 5000, "vector must be a sequence, got "),
+    (vec, [[10 ** 5000]], "not a rational: ["),
+    (lambda x: _integer(x, "n"), [10 ** 5000], "n must be an integer, got ["),
+], ids=["fr", "integer", "seq", "vec-huge-int", "vec-holds-huge-int",
+        "integer-holds-huge-int"])
+def test_refused_value_is_echoed_bounded(rule, value, message):
+    # a 1 MB refused value, or an int past repr's digit limit, is echoed in
+    # a bounded form, so the message stays short whatever the size of the
+    # input and the error is an InputError, not repr's ValueError
     with pytest.raises(InputError) as info:
-        rule("1" * 10 ** 6 + ".5")
+        rule(value)
     assert str(info.value).startswith(message) and len(str(info.value)) < 200

@@ -101,9 +101,34 @@ def test_validate_rejects_bad_simplices():
     with pytest.raises(InputError, match="repeated"):
         FlatBundleComplex(2, 3, [((0, 1, 1), 1)],
                           _ident_transitions([((0, 1, 2), 1)]), _sections(3))
-    with pytest.raises(InputError, match="range"):
-        FlatBundleComplex(2, 3, [((0, 1, 5), 1)],
-                          {(0, 1): I2, (0, 5): I2, (1, 5): I2}, _sections(3))
+    # every transition is in range, so the simplex's own check fires
+    ts = _ident_transitions([((0, 1, 2), 1)])
+    with pytest.raises(InputError, match="vertex out of range in simplex"):
+        FlatBundleComplex(2, 3, [((0, 1, 5), 1)], ts, _sections(3))
+    with pytest.raises(InputError, match="not an n-simplex"):
+        FlatBundleComplex(2, 3, [((0, 1), 1)], ts, _sections(3))
+
+
+def test_validate_rejects_bad_transition_shapes():
+    simplices = [((0, 1, 2), 1)]
+    ts = _ident_transitions(simplices)
+    with pytest.raises(InputError, match=r"transition \(0, 1\) is not 2x2"):
+        FlatBundleComplex(2, 3, simplices, {**ts, (0, 1): identity(3)},
+                          _sections(3))
+    with pytest.raises(InputError, match=r"transition \(1, 1\) must be the identity"):
+        FlatBundleComplex(2, 3, simplices,
+                          {**ts, (1, 1): ((F(2), F(0)), (F(0), F(1, 2)))},
+                          _sections(3))
+
+
+def test_repeated_transition_pair():
+    # a pairs list may not give (i, j) twice, even with the same matrix
+    simplices = [((0, 1, 2), 1)]
+    pairs = list(_ident_transitions(simplices).items())
+    for g in (((F(5), F(0)), (F(0), F(1, 5))), I2):
+        with pytest.raises(InputError, match=r"transition pair \(0, 1\) is repeated"):
+            FlatBundleComplex(2, 3, simplices, [((0, 1), g)] + pairs,
+                              _sections(3))
 
 
 def test_missing_transition():
