@@ -6,14 +6,15 @@ The one clearing rule, _clear, maps rationals to the positive lcm L of
 their denominators and the integers numerator * (L // denominator); every
 input is cleared by it once (a square matrix as one vector, by
 _clear_matrix), and every integer kernel reads its output: determinants
-and orientations go through one fraction-free (Bareiss) kernel, _det_int,
-and every signed family of minors through one routine on it, _minors, the
-kernel vector of k + 1 integer rows of length k.  _minors gives the
-Cramer signs of a point tuple, the adjugate rows of the one cleared
-inverse, _inverse, the Cramer coefficients of frame_transform and the
-cofactor functional of point realization.  Spans go through the
-incremental integer echelon flags._IntSpan, whose rows _primitive
-divides by their gcd.
+and orientations go through one kernel, _det_int (closed forms up to
+4x4, which covers every n <= 4 path, and fraction-free Bareiss
+elimination above), and every signed family of minors through one
+routine on it, _minors, the kernel vector of k + 1 integer rows of
+length k.  _minors gives the Cramer signs of a point tuple, the
+adjugate rows of the one cleared inverse, _inverse, the Cramer
+coefficients of frame_transform and the cofactor functional of point
+realization.  Spans go through the incremental integer echelon
+flags._IntSpan, whose rows _primitive divides by their gcd.
 
 >>> ori(((1, 0), (0, 1)))
 1
@@ -177,11 +178,39 @@ def projective_normalize(v) -> tuple[int, ...]:
 def _det_int(rows) -> int:
     """Exact determinant of a square integer matrix.
 
-    Bareiss fraction-free elimination; all intermediates are exact ints.
+    Closed forms up to k = 4 (k = 3 by expansion along the first row,
+    k = 4 by Laplace expansion of the top two rows' six 2x2 minors against
+    their complementary bottom minors), fraction-free Bareiss elimination
+    above; all intermediates are exact ints.
+
+    >>> _det_int([[7]]), _det_int([[1, 2], [3, 4]])
+    (7, -2)
+    >>> _det_int([[2, 0, 1], [1, 3, 0], [0, 1, 4]])
+    25
+    >>> _det_int([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    1
+    >>> _det_int([[2, 0, 1, 3], [1, 3, 0, 1], [0, 1, 4, 2], [1, 1, 1, 1]])
+    -17
     """
     k = len(rows)
     if k == 0:
         return 1
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if k == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -206,8 +235,18 @@ def _det_int(rows) -> int:
     return sign * a[k - 1][k - 1]
 
 
+def _require_square(rows):
+    """InputError unless rows are k rows of length k."""
+    k = len(rows)
+    for r in rows:
+        if len(r) != k:
+            raise InputError(f"expected {k} rows of length {k}, got one of length {len(r)}")
+
+
 def det_sign_int(rows: list[list[int]]) -> int:
-    """Sign of the determinant of a square integer matrix, in {-1, 0, 1}."""
+    """Sign of the determinant of a square integer matrix, in {-1, 0, 1};
+    InputError on non-square or ragged rows."""
+    _require_square(rows)
     d = _det_int(rows)
     return (d > 0) - (d < 0)
 
@@ -226,10 +265,8 @@ def _clear_matrix(m):
     """(L, rows) of a square matrix: its entries cleared together by _clear,
     so that rows = L * m with L the positive lcm of all its denominators."""
     m = tuple(tuple(r) for r in m)
+    _require_square(m)
     k = len(m)
-    for r in m:
-        if len(r) != k:
-            raise InputError(f"expected {k} rows of length {k}, got one of length {len(r)}")
     den, flat = _clear([x for r in m for x in r])
     return den, tuple(flat[i:i + k] for i in range(0, k * k, k))
 

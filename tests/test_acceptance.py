@@ -117,8 +117,8 @@ def test_criterion_5_deflation_differential():
     assert any(_top_level(Fs) for Fs in tuples2[500:])
 
     s4, pool4 = RationalSampler(41), RationalSampler(43)
-    tuples4 = [s4.flags(4, 5) for _ in range(5)]
-    while len(tuples4) < 8:  # pool tuples with a selection level above 0
+    tuples4 = [s4.flags(4, 5) for _ in range(10)]
+    while len(tuples4) < 16:  # pool tuples with a selection level above 0
         Fs = pool4.pool_flags(4, 5)
         if _top_level(Fs):
             tuples4.append(Fs)
@@ -134,7 +134,7 @@ def test_criterion_5_deflation_differential():
         naive_walls.append(time.perf_counter() - t0)
         assert got == want
         assert naive_walls[-1] < 600  # stated bound: under 10 minutes
-    _report(5, f"naive = factorized on 500 + 400 pool n=2 tuples and 5 + 3 "
+    _report(5, f"naive = factorized on 500 + 400 pool n=2 tuples and 10 + 6 "
                f"pool n=4 tuples; factorized {fast_wall / len(tuples4):.3f}s/tuple, naive "
                f"{max(naive_walls):.1f}s worst (bounds 1s / 600s)")
 

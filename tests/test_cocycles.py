@@ -1,10 +1,13 @@
 """Cochain values, cocycle identities, witnesses, regression formulas."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from eulerflags import linalg
 from eulerflags.cocycles import (_deleted_brackets, _flipped_bracket_table,
                                  coboundary, coc, coco, coboundary_kill_witness,
                                  obstruction_witness, pcoc, smi, sul)
@@ -181,6 +184,81 @@ def test_flip_table_shares_prefixes(n, monkeypatch):
     _flipped_bracket_table(bases, n)
     assert len(calls) == sum(2 ** (n * (a + 1)) for a in range(n - 1)) \
         == {2: 4, 4: 4368}[n]
+
+
+def _walk_nodes(n):
+    """The walk's nodes: one per prefix of slot bits, sum over a < n of
+    2^(n a) (5 at n = 2, 4,369 at n = 4)."""
+    return sum(2 ** (n * a) for a in range(n))
+
+
+def _record_membership(monkeypatch):
+    """Every contains_int query as (span, vector); the spans are kept
+    alive, so id() tells the walk's nodes apart."""
+    calls = []
+    contains_int = _IntSpan.contains_int
+
+    def recorded(self, iv):
+        calls.append((self, iv))
+        return contains_int(self, iv)
+
+    monkeypatch.setattr(_IntSpan, "contains_int", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_flip_table_one_membership_test_per_signed_vector(n, monkeypatch):
+    # on generic flags every node selects level 0, so it tests exactly the
+    # two signed level-0 vectors: 10 queries per table at n = 2 and 8,738
+    # at n = 4, where one query per pattern and level made 69,904
+    calls = _record_membership(monkeypatch)
+    bases = _deleted_bases(RationalSampler(36).flags(n, n + 1))[0]
+    _flipped_bracket_table(bases, n)
+    assert len(calls) == 2 * _walk_nodes(n) == {2: 10, 4: 8738}[n]
+
+
+@pytest.mark.parametrize("n, count", [(2, 200), (4, 1)])
+def test_flip_table_queries_both_signs_on_their_own(n, count, monkeypatch):
+    # at every node each signed vector of every level reached is queried
+    # once, on itself: the queries come in pairs v, -v, so no membership
+    # of -v is read off the answer for v.  Pool flags reach levels above 0.
+    calls = _record_membership(monkeypatch)
+    s = RationalSampler(37)
+    deepest = 0
+    for _ in range(count):
+        Fs = s.pool_flags(n, n + 1)
+        for bases in _deleted_bases(Fs):
+            calls.clear()
+            _flipped_bracket_table(bases, n)
+            nodes = {}
+            for span, iv in calls:
+                nodes.setdefault(id(span), []).append(iv)
+            assert len(nodes) == _walk_nodes(n)
+            for ivs in nodes.values():
+                seen = Counter(ivs)
+                assert max(seen.values()) == 1
+                assert all(tuple(-x for x in iv) in seen for iv in seen)
+                deepest = max(deepest, len(seen) // 2 - 1)
+    assert deepest >= 1  # some node reached a level above 0
+
+
+def test_naive_coc_takes_327680_determinants(monkeypatch):
+    # n + 1 = 5 tables of 2^16 patterns, each signed by its own
+    # det_sign_int, counted wherever the package calls it
+    Fs = RationalSampler(38).flags(4, 5)
+    want = coc(Fs)
+    calls = []
+    det_sign = linalg.det_sign_int
+
+    def counted(rows):
+        calls.append(None)
+        return det_sign(rows)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("eulerflags") and getattr(mod, "det_sign_int", None) is det_sign:
+            monkeypatch.setattr(mod, "det_sign_int", counted)
+    assert coc(Fs, mode="naive") == want
+    assert len(calls) == 5 * 2 ** 16 == 327_680
 
 
 def test_coc_naive_budget():

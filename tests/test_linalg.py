@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from eulerflags import cocycles, linalg
-from eulerflags.linalg import (InputError, OddDimensionError, _clear, _integer,
-                               _seq, det, e0, fr, frame_transform,
+from eulerflags.linalg import (InputError, OddDimensionError, _clear, _det_int,
+                               _integer, _seq, det, det_sign_int, e0, fr,
+                               frame_transform,
                                hereditarily_spanning, identity, int_vec, mat,
                                mat_vec, ori,
                                primitive_int_vec, projective_normalize,
@@ -157,6 +158,101 @@ def test_det_exact_on_integer_input():
     assert d == Fraction(399) and isinstance(d, Fraction)
     d = det(((2, 1), (1, 3)))
     assert d == 5 and isinstance(d, Fraction)
+
+
+def _bareiss_det(rows) -> int:
+    """Fraction-free Bareiss elimination, the kernel that computed every
+    determinant before the closed forms for k <= 4; kept as an oracle."""
+    k = len(rows)
+    if k == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for j in range(k - 1):
+        p = j
+        while p < k and a[p][j] == 0:
+            p += 1
+        if p == k:
+            return 0
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            sign = -sign
+        pj = a[j][j]
+        for i in range(j + 1, k):
+            ai, aj = a[i], a[j]
+            f = ai[j]
+            for c in range(j + 1, k):
+                ai[c] = (pj * ai[c] - f * aj[c]) // prev
+            ai[j] = 0
+        prev = pj
+    return sign * a[k - 1][k - 1]
+
+
+def _int_matrix(rng, k, bits, plant):
+    entry = lambda: rng.randint(-2 ** bits, 2 ** bits)
+    rows = [[entry() for _ in range(k)] for _ in range(k)]
+    if plant == "zero-columns" and k >= 2:
+        # zeros above the last row in the leading columns: Bareiss must swap
+        for j in range(rng.randint(1, k - 1)):
+            for i in range(k - 1 - j):
+                rows[i][j] = 0
+    elif plant == "dependent" and k >= 2:
+        # row i = a row j + b row l, with j and l other rows than i
+        i, j = rng.sample(range(k), 2)
+        l = rng.choice([x for x in range(k) if x != i])
+        a, b = entry(), rng.randint(-3, 3)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    elif plant == "zero-row" and k >= 1:
+        rows[rng.randrange(k)] = [0] * k
+    return rows
+
+
+def test_det_int_against_bareiss_and_sympy():
+    # closed forms (k <= 4) and Bareiss (k >= 5) against the old kernel and
+    # sympy, on small and 200-bit entries, zero leading columns, planted
+    # dependent and zero rows; a row swap must flip the sign
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    signs = {k: set() for k in range(7)}
+    for k in range(7):
+        for t in range(48):
+            bits = (3, 200)[t % 2]
+            plant = ("none", "zero-columns", "dependent", "zero-row")[t // 2 % 4]
+            rows = _int_matrix(rng, k, bits, plant)
+            want = _bareiss_det(rows)
+            assert want == sympy.Matrix(k, k, [x for r in rows for x in r]).det()
+            assert _det_int(rows) == want, rows
+            assert _det_int(tuple(map(tuple, rows))) == want
+            assert det_sign_int(rows) == (want > 0) - (want < 0)
+            if plant == "dependent" and k >= 2:
+                assert want == 0
+            if k >= 2:
+                i, j = rng.sample(range(k), 2)
+                swapped = list(rows)
+                swapped[i], swapped[j] = rows[j], rows[i]
+                assert _det_int(swapped) == -want
+            signs[k].add((want > 0) - (want < 0))
+    assert signs[0] == {1}
+    assert all(signs[k] == {-1, 0, 1} for k in range(1, 7)), signs
+
+
+@pytest.mark.parametrize("rows, k, length", [
+    ([[1, 2]], 1, 2),
+    ([[1, 2, 3], [4, 5, 6]], 2, 3),
+    ([[1, 2], [3, 4], [5, 6]], 3, 2),
+    ([[1, 2], [3]], 2, 1),
+    ([[1, 0, 0], [0, 1], [0, 0, 1]], 3, 2),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1, 0]], 4, 5),
+    ([[int(i == j) for j in range(6)] for i in range(5)], 5, 6),
+    ([[int(i == j) for j in range(5)] for i in range(6)], 6, 5),
+], ids=["1x2", "2x3", "3x2", "ragged-2", "ragged-3", "ragged-4", "5x6", "6x5"])
+def test_det_sign_int_rejects_non_square(rows, k, length):
+    # before the check, the first two gave the sign of a leading block and
+    # the others an IndexError or a silent value
+    with pytest.raises(InputError,
+                       match=f"expected {k} rows of length {k}, got one of length {length}"):
+        det_sign_int(rows)
 
 
 def test_linalg_doctests():
