@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .linalg import InputError, PropertyViolation
+from .linalg import InputError, PropertyViolation, _seq
 
 
 def _letter(m, inverted: bool):
@@ -63,7 +63,7 @@ def euler_number_oracle(rep) -> int:
     The relator product [A_1, B_1] ... [A_g, B_g] must be the identity
     matrix (checked approximately here; the caller owns exactness).
     """
-    rep = list(rep)
+    rep = _seq(rep, "representation")
     if len(rep) < 2 or len(rep) % 2:
         raise InputError("need matrices (A_1, B_1, ..., A_g, B_g)")
     # [x, y] = x y x^-1 y^-1; the rightmost letter acts first

@@ -55,6 +55,8 @@ from .linalg import (
     InputError,
     PropertyViolation,
     _cramer_signs,
+    _seq,
+    _tuple,
     det,
     det_sign_int,
     e0,
@@ -64,45 +66,20 @@ from .linalg import (
     require_even,
 )
 from .flags import (
-    OrientedFlag,
     _IntSpan,
-    bracket_selections,
+    _flags,
+    _selections,
     flag_equal_unoriented,
     make_flag,
 )
 
 
-def _deleted(xs, i):
-    return xs[:i] + xs[i + 1:]
-
-
 def _check_points(vs, allow_zero=False):
     """The tuple's vectors cleared to integers (each once), and n."""
-    ints = [int_vec(v) for v in vs]
-    if not ints:
-        raise InputError("empty point tuple")
-    n = require_even(len(ints[0]))
-    if any(len(v) != n for v in ints):
-        raise InputError("points of mixed dimension")
-    if len(ints) != n + 1:
-        raise InputError(f"need an (n+1)-tuple, got {len(ints)} points in dimension {n}")
+    ints, n = _tuple([int_vec(v) for v in _seq(vs, "points")], "points", extra=1)
     if not allow_zero and not all(any(v) for v in ints):
         raise InputError("zero vector has no projective class")
     return ints, n
-
-
-def _check_flags(Fs):
-    Fs = tuple(Fs)
-    if not Fs:
-        raise InputError("empty flag tuple")
-    if not all(isinstance(F, OrientedFlag) for F in Fs):
-        raise InputError("expected OrientedFlag arguments")
-    n = require_even(Fs[0].n)
-    if any(F.n != n for F in Fs):
-        raise InputError("flags of mixed dimension")
-    if len(Fs) != n + 1:
-        raise InputError(f"need an (n+1)-tuple, got {len(Fs)} flags in dimension {n}")
-    return Fs, n
 
 
 def pcoc(vs) -> Fraction:
@@ -115,7 +92,7 @@ def pcoc(vs) -> Fraction:
 
 def coco(Fs) -> Fraction:
     """Product of the deleted-index iterated-bracket orientations; always +-1."""
-    Fs, n = _check_flags(Fs)
+    Fs, n = _flags(Fs, extra=1)
     return Fraction(_deleted_brackets(Fs, n)[0])
 
 
@@ -156,10 +133,10 @@ def smi(vs) -> Fraction:
 
 def coboundary(f, xs) -> Fraction:
     """d f evaluated on a (k+2)-tuple: sum of (-1)^i f(xs minus i)."""
-    xs = tuple(xs)
+    xs = _seq(xs, "tuple")
     total = Fraction(0)
     for i in range(len(xs)):
-        v = f(_deleted(xs, i))
+        v = f(xs[:i] + xs[i + 1:])
         total += -v if i % 2 else v
     return total
 
@@ -175,20 +152,13 @@ def _deleted_brackets(Fs, n):
     val = 1
     for i in range(n + 1):
         kept = [a for a in range(n + 1) if a != i]
-        levels = bracket_selections([Fs[a] for a in kept])[1]
+        levels = _selections([Fs[a] for a in kept])[1]
         val *= det_sign_int([Fs[a].ints[lev] for a, lev in zip(kept, levels)])
         for key in zip(kept, levels):
             mult[key] = mult.get(key, 0) + 1
     if val not in (-1, 1):
         raise PropertyViolation(f"coco took the value {val}")
     return val, mult
-
-
-def _coc_factorized(Fs, n) -> Fraction:
-    val, mult = _deleted_brackets(Fs, n)
-    if any(m % 2 for m in mult.values()):
-        return Fraction(0)
-    return Fraction(val)
 
 
 def _flipped_bracket_table(bases, n) -> np.ndarray:
@@ -249,9 +219,10 @@ def _coc_naive(Fs, n) -> Fraction:
 
 def coc(Fs, mode: str = "factorized") -> Fraction:
     """Deflated flag cocycle: the average of coco over all flip combinations."""
-    Fs, n = _check_flags(Fs)
+    Fs, n = _flags(Fs, extra=1)
     if mode == "factorized":
-        return _coc_factorized(Fs, n)
+        val, mult = _deleted_brackets(Fs, n)
+        return Fraction(0) if any(m % 2 for m in mult.values()) else Fraction(val)
     if mode == "naive":
         return _coc_naive(Fs, n)
     raise InputError(f"unknown coc mode {mode!r}")
@@ -280,22 +251,14 @@ def coboundary_kill_witness(n: int):
     flags = tuple(make_flag([symbols[(i + t) % (n + 1)] for t in range(n)])
                   for i in range(n + 1))
 
-    mats = []
-    g = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    g[n - 1][n - 1] = Fraction(-1)
-    mats.append(mat(g))  # g_0: reflect the last coordinate
+    def unit(entries):  # the identity with the (row, column): value entries
+        return mat([[entries.get((r, c), int(r == c)) for c in range(n)] for r in range(n)])
 
-    g = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    g[0][0] = Fraction(-1)
-    for r in range(1, n):
-        g[r][0] = Fraction(-2)
-    mats.append(mat(g))  # g_1: first column (-1, -2, ..., -2)
-
-    for i in range(2, n + 1):
-        g = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-        g[i - 2][i - 2] = Fraction(-1)
-        g[i - 2][i - 1] = Fraction(2)
-        mats.append(mat(g))  # g_i: [[-1, 2], [0, 1]] block at rows i-1, i
+    mats = [unit({(n - 1, n - 1): -1}),  # g_0: reflect the last coordinate
+            # g_1: first column (-1, -2, ..., -2)
+            unit({(r, 0): -2 if r else -1 for r in range(n)})]
+    for i in range(2, n + 1):  # g_i: [[-1, 2], [0, 1]] block at rows i-1, i
+        mats.append(unit({(i - 2, i - 2): -1, (i - 2, i - 1): 2}))
 
     for i, g in enumerate(mats):
         if det(g) != -1:

@@ -20,15 +20,17 @@ import itertools
 from .linalg import (
     InputError,
     PropertyViolation,
+    _echo,
+    _integer,
     _minors,
     _primitive,
+    _tuple,
     det_sign_int,
     mat,
     mat_vec,
     ori,
     primitive_int_vec,
     projective_normalize,
-    require_even,
 )
 
 
@@ -88,18 +90,17 @@ class OrientedFlag:
 
     def __init__(self, basis):
         self.basis = mat(basis)
-        n = len(self.basis)
-        if n == 0 or any(len(v) != n for v in self.basis):
-            raise InputError("flag basis must be n vectors of dimension n")
         self.ints = tuple(primitive_int_vec(v) for v in self.basis)
-        if det_sign_int(self.ints) == 0:
-            raise InputError("singular flag basis")
+        # det_sign_int refuses a basis that is not n vectors of dimension n
+        if not self.ints or det_sign_int(self.ints) == 0:
+            raise InputError("flag basis must be n independent vectors of dimension n")
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
     def apply(self, g) -> "OrientedFlag":
+        g = mat(g)
         return OrientedFlag(tuple(mat_vec(g, v) for v in self.basis))
 
     def __repr__(self):
@@ -110,8 +111,21 @@ def make_flag(basis) -> OrientedFlag:
     return OrientedFlag(basis)
 
 
+def _flag_dim(F) -> int:
+    if not isinstance(F, OrientedFlag):
+        raise InputError(f"expected an OrientedFlag, got {_echo.repr(F)}")
+    return F.n
+
+
+def _flags(Fs, extra=None) -> tuple[tuple[OrientedFlag, ...], int]:
+    """linalg._tuple for flags: OrientedFlags of one dimension n = F.n."""
+    return _tuple(Fs, "flags", dim=_flag_dim, extra=extra)
+
+
 def flip(F: OrientedFlag, i: int) -> OrientedFlag:
     """Reverse the half-space at level i (1-indexed): negate w_i."""
+    _flags((F,))
+    i = _integer(i, "flip level")
     if not 1 <= i <= F.n:
         raise InputError(f"flip level {i} out of range 1..{F.n}")
     return OrientedFlag(tuple(tuple(-x for x in v) if j == i - 1 else v
@@ -124,8 +138,7 @@ def flag_equal_unoriented(F: OrientedFlag, G: OrientedFlag) -> bool:
     Walks both flags up one span: if the first i-1 spans agree and w'_i lies
     in span(w_1..w_i), the i-th spans agree too, having equal dimension.
     """
-    if F.n != G.n:
-        raise InputError("flags of different dimension")
+    _flags((F, G))
     span = _IntSpan()
     for f, g in zip(F.ints, G.ints):
         span = span.extended(f)
@@ -136,6 +149,7 @@ def flag_equal_unoriented(F: OrientedFlag, G: OrientedFlag) -> bool:
 
 def flagstaff(F: OrientedFlag):
     """The line F^1 as a canonical projective point."""
+    _flags((F,))
     return projective_normalize(F.ints[0])
 
 
@@ -149,12 +163,15 @@ def _step(span: _IntSpan, F: OrientedFlag) -> int:
 
 def bracket_selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:
     """Iterated bracket plus the 0-indexed selection level per input flag."""
-    Fs = tuple(Fs)
-    if not Fs:
-        raise InputError("bracket of an empty flag tuple")
-    n = Fs[0].n
-    if len(Fs) > n or any(F.n != n for F in Fs):
-        raise InputError("bracket takes 1..n flags of equal dimension")
+    Fs, n = _flags(Fs)
+    if len(Fs) > n:
+        raise InputError(f"bracket takes at most n={n} flags, got {len(Fs)}")
+    return _selections(Fs)
+
+
+def _selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:
+    """bracket_selections without the argument check, for the library's
+    own loops over flags it has checked (no flags: the empty bracket)."""
     span = _IntSpan()
     basis = []
     levels = []
@@ -215,12 +232,7 @@ def realize_points(Fs):
     postcondition (independent bracket and ori) are checked before
     returning (PropertyViolation).
     """
-    Fs = tuple(Fs)
-    if not Fs:
-        raise InputError("empty flag tuple")
-    n = require_even(Fs[0].n)
-    if len(Fs) != n + 2 or any(F.n != n for F in Fs):
-        raise InputError(f"realize_points needs n+2={n + 2} flags of dimension n={n}")
+    Fs, n = _flags(Fs, extra=2)
 
     pts: dict[int, tuple[int, ...]] = {}
     for k in range(n + 1, -1, -1):
@@ -228,7 +240,7 @@ def realize_points(Fs):
         constraints = []
         for i, j in itertools.combinations(others, 2):
             flagpart = [Fs[a] for a in range(k) if a not in (i, j)]
-            levels = bracket_selections(flagpart)[1] if flagpart else ()
+            levels = _selections(flagpart)[1]
             rows = [F.ints[d] for F, d in zip(flagpart, levels)]
             rows += [pts[b] for b in range(k + 1, n + 2) if b not in (i, j)]
             m = _cofactor_functional(rows)
@@ -262,6 +274,6 @@ def realize_points(Fs):
     out = tuple(pts[a] for a in range(n + 2))
     for i, j in itertools.combinations(range(n + 2), 2):
         kept = [a for a in range(n + 2) if a not in (i, j)]
-        if ori([out[a] for a in kept]) != ori(bracket([Fs[a] for a in kept]).basis):
+        if ori([out[a] for a in kept]) != ori(_selections([Fs[a] for a in kept])[0].basis):
             raise PropertyViolation(f"deleted pair ({i}, {j}) orientation mismatch")
     return out

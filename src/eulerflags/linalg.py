@@ -70,16 +70,40 @@ def require_even(n) -> int:
 
 def _integer(x, what: str) -> int:
     """x as an int, for integral x other than bool; else InputError."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise InputError(f"{what} must be an integer, got {_echo.repr(x)}")
     return int(x)  # a numpy integer would stay fixed width
 
 
-def _seq(xs, what: str) -> tuple:
-    """xs as a tuple, for a non-string iterable; else InputError."""
-    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
-        raise InputError(f"{what} must be a sequence, got {_echo.repr(xs)}")
-    return tuple(xs)
+def _seq(xs, what: str, length=None) -> tuple:
+    """xs as a tuple for a non-string iterable (of length items if given); else InputError."""
+    if type(xs) is not tuple:
+        if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
+            raise InputError(f"{what} must be a sequence, got {_echo.repr(xs)}")
+        xs = tuple(xs)
+    if length is not None and len(xs) != length:
+        raise InputError(f"{what} must have {length} items, got {_echo.repr(xs)}")
+    return xs
+
+
+def _tuple(xs, what: str, dim=len, extra=None) -> tuple[tuple, int]:
+    """(xs as a tuple, n) for a nonempty non-string sequence whose items
+    share one dimension n = dim(item); with extra, n must also be even and
+    the tuple must hold exactly n + extra items.  Else InputError."""
+    xs = _seq(xs, what)
+    if not xs:
+        raise InputError(f"no {what} given")
+    n = dim(xs[0])
+    for x in xs:
+        if dim(x) != n:
+            raise InputError(f"{what} of mixed dimension")
+    if extra is not None:
+        require_even(n)
+        if len(xs) != n + extra:
+            raise InputError(f"need {n + extra} {what} in dimension n={n}, got {len(xs)}")
+    return xs, n
 
 
 # an optional sign, ASCII digits, optionally "/" and ASCII digits; no
@@ -264,11 +288,11 @@ def _minors(rows: list) -> list[int]:
 def _clear_matrix(m):
     """(L, rows) of a square matrix: its entries cleared together by _clear,
     so that rows = L * m with L the positive lcm of all its denominators."""
-    m = tuple(tuple(r) for r in m)
+    m = tuple(_seq(r, "matrix row") for r in _seq(m, "matrix"))
     _require_square(m)
     k = len(m)
     den, flat = _clear([x for r in m for x in r])
-    return den, tuple(flat[i:i + k] for i in range(0, k * k, k))
+    return den, tuple(flat[i * k:i * k + k] for i in range(k))
 
 
 def _inverse(den, rows):
@@ -340,6 +364,7 @@ def mat_mul(a, b):
 
 
 def identity(n):
+    n = _integer(n, "dimension")
     one, zero = Fraction(1), Fraction(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
@@ -357,12 +382,7 @@ def mat_inv(m):
 def hereditarily_spanning(xs) -> bool:
     """True iff every n-subset of the k >= n vectors of dimension n spans
     (all dets nonzero)."""
-    ints = [int_vec(v) for v in xs]
-    if not ints:
-        raise InputError("empty tuple")
-    n = len(ints[0])
-    if any(len(v) != n for v in ints):
-        raise InputError("vectors of mixed dimension")
+    ints, n = _tuple([int_vec(v) for v in _seq(xs, "vectors")], "vectors")
     if len(ints) < n:
         raise InputError(f"need at least n={n} vectors, got {len(ints)}")
     return all(det_sign_int(sub) != 0 for sub in itertools.combinations(ints, n))
@@ -376,21 +396,15 @@ def frame_transform(xs):
     >>> g
     ((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 2), Fraction(1, 2)))
     """
-    xs = tuple(vec(v) for v in xs)
-    n = len(xs[0])
-    require_even(n)
-    if len(xs) != n + 1:
-        raise InputError(f"frame_transform needs n+1={n + 1} vectors")
+    xs, n = _tuple([vec(v) for v in _seq(xs, "vectors")], "vectors", extra=1)
     den, rows = _clear_matrix(xs[1:])
     l0, r0 = _clear(xs[0])
     # the kernel vector of (x_0, x_1, ..., x_n): sum_i lam_i rows_i = 0, so
-    # sum_i c_i x_i = x_0 with c_i = -lam_{i+1} L / (lam_0 L_0)
+    # sum_i c_i x_i = x_0 with c_i = -lam_{i+1} L / (lam_0 L_0), all nonzero
     lam = _minors((r0,) + rows)
-    if lam[0] == 0:
-        raise InputError("not hereditarily spanning: x_1..x_n do not span")
+    if not all(lam):
+        raise InputError("not hereditarily spanning: a signed minor of x_0..x_n is zero")
     cs = [Fraction(-lam[i + 1] * den, lam[0] * l0) for i in range(n)]
-    if any(c == 0 for c in cs):
-        raise InputError("not hereditarily spanning: x_0 has a zero coefficient over x_1..x_n")
     m = tuple(zip(*[tuple(c * x for x in col) for c, col in zip(cs, xs[1:])]))
     return mat_inv(m)
 

@@ -58,6 +58,14 @@ class NonGenericSection(InputError):
     boundary-of-hull decision to be nonzero."""
 
 
+def _chain(simplices) -> tuple:
+    """A chain read once: ((vertex tuple, coefficient), ...) from a sequence
+    of (vertices, coefficient) pairs, every vertex and coefficient an int."""
+    terms = (_seq(t, "chain term", 2) for t in _seq(simplices, "simplices"))
+    return tuple((tuple(_integer(v, "simplex vertex") for v in _seq(verts, "simplex")),
+                  _integer(c, "chain coefficient")) for verts, c in terms)
+
+
 def chain_boundary(simplices):
     """Boundary of an integer chain of ordered simplices.
 
@@ -65,8 +73,13 @@ def chain_boundary(simplices):
     the sorting permutation: (-1) to the number of inversions of the face;
     returns {sorted face: coefficient} without zeros.
     """
+    return _boundary(_chain(simplices))
+
+
+def _boundary(chain) -> dict:
+    """chain_boundary of a chain already read by _chain."""
     out: dict[tuple, int] = {}
-    for verts, c in simplices:
+    for verts, c in chain:
         for i in range(len(verts)):
             face = verts[:i] + verts[i + 1:]
             key = tuple(sorted(face))
@@ -108,14 +121,13 @@ class FlatBundleComplex:
     def __init__(self, n, vertices, simplices, transitions, section, tol=0):
         self.n = require_even(n)
         self.vertices = _integer(vertices, "vertex count")
-        self.simplices = tuple(
-            (tuple(_integer(v, "simplex vertex") for v in _seq(verts, "simplex")),
-             _integer(c, "chain coefficient")) for verts, c in simplices)
+        self.simplices = _chain(simplices)
         if isinstance(transitions, Mapping):
             transitions = transitions.items()
         stored = {}
-        for (i, j), g in transitions:
-            i, j = _integer(i, "transition key"), _integer(j, "transition key")
+        for t in _seq(transitions, "transitions"):
+            key, g = _seq(t, "transition", 2)
+            i, j = (_integer(v, "transition key") for v in _seq(key, "transition key", 2))
             if (i, j) in stored:
                 raise InputError(f"transition pair ({i}, {j}) is repeated")
             stored[(i, j)] = mat(g)
@@ -271,7 +283,7 @@ def euler_number(bundle: FlatBundleComplex, mode: str = "smillie"):
         v = _simplex_value(bundle, verts, mode)
         per_simplex.append(v)
         total += c * v
-    if chain_boundary(bundle.simplices):
+    if _boundary(bundle.simplices):
         return total, None, per_simplex
     if total.denominator != 1:
         raise PropertyViolation(f"non-integral total {total} on a closed chain")
@@ -283,7 +295,7 @@ def gauge_transform(bundle: FlatBundleComplex, hs) -> FlatBundleComplex:
     h_x g_xy h_y^(-1) = H_x G_xy K_y / (l_x L_xy l'_y), for (l_x, H_x) = h_x
     cleared and (l'_y, K_y) its _inverse.  Per-simplex values are unchanged;
     relative defects are not, so the result is validated at the bundle's tol."""
-    n, hs = bundle.n, [_clear_matrix(h) for h in hs]
+    n, hs = bundle.n, [_clear_matrix(h) for h in _seq(hs, "gauge matrices")]
     if len(hs) != bundle.vertices:
         raise InputError("need one gauge matrix per vertex")
     if any(len(h) != n or det_sign_int(h) != 1 for _, h in hs):

@@ -108,9 +108,7 @@ def _to_matrix(m):
     float entries are read as exact dyadic rationals first, and every other
     entry (NaN and infinities included) is left to linalg.fr."""
     rows = [[Fraction(x) if isinstance(x, float) and math.isfinite(x) else x
-             for x in _seq(row, "matrix row")] for row in _seq(m, "matrix")]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise InputError("surface representations take 2x2 matrices")
+             for x in _seq(row, "matrix row", 2)] for row in _seq(m, "matrix", 2)]
     lg = _clear_matrix(rows)
     if det_sign_int(lg[1]) <= 0:
         raise InputError("representation matrices need positive determinant")

@@ -1,5 +1,7 @@
-"""Monte Carlo estimator: determinism, symmetry checks, mode agreement."""
+"""Monte Carlo estimator: determinism, symmetry checks, mode agreement, and
+its value at n = 2 against the closed form."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -221,3 +223,56 @@ def test_outputs_pinned(n, mode, seed, mean, stderr, resampled):
 def test_redraws_pinned(n, mode, seed, mean, stderr, resampled, monkeypatch):
     monkeypatch.setattr(montecarlo, "DET_RTOL", 0.02)
     assert _pinned(n, mode, seed, 0.5) == (mean, stderr, resampled)
+
+
+# Value check at n = 2 against the closed form of the cocycle: for
+# det g_k > 0, with z_k = C(g_k . i) the Cayley image C(z) = (z - i)/(z + i)
+# of the Mobius image of i, itu(g_0, g_1, g_2) = -arg(w) / (2 pi) for
+# w = (1 - conj(z_0) z_1)(1 - conj(z_1) z_2)(1 - conj(z_2) z_0): the signed
+# hyperbolic area of the triangle (g_0 i, g_1 i, g_2 i) over 4 pi
+# (Goldman 1988; Ivanov-Turaev 1982).  A float test oracle, not a library
+# path.  Every estimate must sit within Z_MAX standard errors of it, and an
+# estimator returning -itu or itu/2 must not.
+Z_MAX = 4.0
+
+
+def _itu_closed_form(gs):
+    zs = []
+    for (a, b), (c, d) in gs:
+        h = (a * 1j + b) / (c * 1j + d)
+        zs.append((h - 1j) / (h + 1j))
+    w = 1
+    for k in range(3):
+        w *= 1 - zs[k].conjugate() * zs[(k + 1) % 3]
+    return -cmath.phase(w) / (2 * math.pi)
+
+
+def _integer_glp_triples(seed, count):
+    """count triples of 2x2 integer matrices, entries in {-9..9}, det > 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gs = []
+        while len(gs) < 3:
+            g = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)]
+            if g[0][0] * g[1][1] - g[0][1] * g[1][0] > 0:
+                gs.append(g)
+        out.append(gs)
+    return out
+
+
+def test_value_matches_closed_form_n2():
+    z = {"estimate": [], "negated": [], "halved": []}
+    for k, gs in enumerate(_integer_glp_triples(2024, 8)):
+        want = _itu_closed_form(gs)
+        assert abs(want) < 0.25
+        for mode in ("ball", "projective"):
+            est = itu_estimate([[[float(x) for x in r] for r in g] for g in gs],
+                               samples=100_000, seed=k, mode=mode)
+            for name, mean in (("estimate", est.mean), ("negated", -est.mean),
+                               ("halved", est.mean / 2)):
+                z[name].append((mean - want) / est.stderr)
+    assert max(abs(x) for x in z["estimate"]) <= Z_MAX, z["estimate"]
+    # the check has power: each wrong estimator misses on some triple
+    assert max(abs(x) for x in z["negated"]) > Z_MAX
+    assert max(abs(x) for x in z["halved"]) > Z_MAX

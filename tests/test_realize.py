@@ -113,7 +113,7 @@ def test_dependent_constraint_basis_is_an_invariant_violation(monkeypatch):
     # the caller's: realize_points reports it as a PropertyViolation.  At
     # n = 4 a constraint brackets up to three flags; selecting the same
     # level of equal flags makes its rows dependent.
-    monkeypatch.setattr(flags, "bracket_selections",
+    monkeypatch.setattr(flags, "_selections",
                         lambda Fs: (None, (0,) * len(Fs)))
     std = make_flag(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     with pytest.raises(PropertyViolation, match="not a hyperplane"):

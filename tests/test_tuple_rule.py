@@ -1,0 +1,121 @@
+"""One tuple rule: malformed point, vector, flag and chain arguments raise
+InputError at every public entry point, never a bare TypeError,
+AttributeError, IndexError or ValueError."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from eulerflags import cocycles, flags, linalg
+from eulerflags.circle import euler_number_oracle
+from eulerflags.cocycles import coboundary, coc, coco, pcoc, smi, sul
+from eulerflags.flags import (bracket, bracket_selections, flag_equal_unoriented,
+                              flagstaff, flip, make_flag, realize_points)
+from eulerflags.linalg import (InputError, _tuple, det, frame_transform,
+                               hereditarily_spanning, identity, ori, sig)
+from eulerflags.randgen import RationalSampler
+from eulerflags.simplicial import FlatBundleComplex, chain_boundary, gauge_transform
+
+I2 = ((1, 0), (0, 1))
+F = make_flag(I2)
+
+
+def _bundle(simplices=(((0, 1, 2), 1),), transitions=None):
+    if transitions is None:
+        transitions = {(i, j): I2 for i in range(3) for j in range(3)}
+    return FlatBundleComplex(2, 3, simplices, transitions, [(1, 0)] * 3)
+
+
+MALFORMED = {
+    # cochains
+    "pcoc(5)": lambda: pcoc(5),
+    "sul(5)": lambda: sul(5),
+    "smi(5)": lambda: smi(5),
+    "coco(5)": lambda: coco(5),
+    "coc(5)": lambda: coc(5),
+    "coboundary(pcoc, 5)": lambda: coboundary(pcoc, 5),
+    # flags
+    "bracket(5)": lambda: bracket(5),
+    "bracket([matrix])": lambda: bracket([[[1, 0], [0, 1]]]),
+    "bracket_selections(5)": lambda: bracket_selections(5),
+    "realize_points(5)": lambda: realize_points(5),
+    "realize_points([matrix] * 4)": lambda: realize_points([[[1, 0], [0, 1]]] * 4),
+    "flag_equal_unoriented(matrix, F)": lambda: flag_equal_unoriented([[1, 0], [0, 1]], F),
+    "flagstaff(5)": lambda: flagstaff(5),
+    "F.apply(5)": lambda: F.apply(5),
+    "F.apply(ragged)": lambda: F.apply([[1, 0], [0]]),
+    "flip(F, True)": lambda: flip(F, True),
+    "flip(F, 1.0)": lambda: flip(F, 1.0),
+    "flip(F, '1')": lambda: flip(F, "1"),
+    "flip(5, 1)": lambda: flip(5, 1),
+    # linalg
+    "hereditarily_spanning(5)": lambda: hereditarily_spanning(5),
+    "frame_transform([])": lambda: frame_transform([]),
+    "frame_transform(5)": lambda: frame_transform(5),
+    "det(5)": lambda: det(5),
+    "ori(5)": lambda: ori(5),
+    "sig(5)": lambda: sig(5),
+    "identity(2.0)": lambda: identity(2.0),
+    # bundles
+    "gauge_transform(b, 5)": lambda: gauge_transform(_bundle(), 5),
+    "euler_number_oracle(5)": lambda: euler_number_oracle(5),
+    "FlatBundleComplex(simplices=5)": lambda: _bundle(simplices=5),
+    "FlatBundleComplex(simplices=[5])": lambda: _bundle(simplices=[5]),
+    "FlatBundleComplex(transitions=[5])": lambda: _bundle(transitions=[5]),
+    "chain_boundary(5)": lambda: chain_boundary(5),
+    "chain_boundary(float coefficient)": lambda: chain_boundary([((0, 1, 2), 1.5)]),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_call_raises_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_empty_matrix_has_determinant_one():
+    assert det([]) == 1 and type(det([])) is Fraction
+    assert ori([]) == sig([]) == 1
+    assert linalg._clear_matrix([]) == (1, ())
+
+
+def test_tuple_rule():
+    assert _tuple([(1, 2), (3, 4)], "vectors") == (((1, 2), (3, 4)), 2)
+    assert _tuple(iter([(1, 2), (3, 4), (5, 6)]), "points", extra=1)[1] == 2
+    for bad, message in [(5, "points must be a sequence"), ("ab", "points must be a sequence"),
+                         ([], "no points given"),
+                         ([(1, 2), (1, 2, 3), (1, 2)], "points of mixed dimension"),
+                         ([(1, 2)] * 4, "need 3 points in dimension n=2, got 4")]:
+        with pytest.raises(InputError, match=message):
+            _tuple(bad, "points", extra=1)
+    with pytest.raises(linalg.OddDimensionError):
+        _tuple([(1, 2, 3)] * 4, "points", extra=1)
+    # without extra, any common dimension and any length pass
+    assert _tuple([(1, 2, 3)] * 7, "vectors")[1] == 3
+
+
+def test_mixed_dimension_is_decided_once():
+    src = Path(linalg.__file__).parent
+    assert sum(p.read_text().count("mixed dimension") for p in src.glob("*.py")) == 1
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_flag_tuples_are_checked_once_per_call(n, monkeypatch):
+    calls, real = [], flags._flags
+
+    def counted(Fs, extra=None):
+        calls.append(extra)
+        return real(Fs, extra)
+
+    monkeypatch.setattr(cocycles, "_flags", counted)
+    s = RationalSampler(90 + n)
+    for mode in ("factorized", "naive") if n == 2 else ("factorized",):
+        coc(s.flags(n, n + 1), mode=mode)
+    coco(s.flags(n, n + 1))
+    assert calls == [1] * len(calls) and len(calls) == (3 if n == 2 else 2)
+    calls.clear()
+    monkeypatch.setattr(flags, "_flags", counted)
+    monkeypatch.setattr(flags, "bracket_selections", None)  # the loops use _selections
+    realize_points(s.flags(n, n + 2))
+    assert calls == [2]
