@@ -55,6 +55,7 @@ from .linalg import (
     InputError,
     PropertyViolation,
     _cramer_signs,
+    _echo,
     _seq,
     _tuple,
     det,
@@ -66,9 +67,9 @@ from .linalg import (
     require_even,
 )
 from .flags import (
+    _BracketWalk,
     _IntSpan,
     _flags,
-    _selections,
     flag_equal_unoriented,
     make_flag,
 )
@@ -133,6 +134,8 @@ def smi(vs) -> Fraction:
 
 def coboundary(f, xs) -> Fraction:
     """d f evaluated on a (k+2)-tuple: sum of (-1)^i f(xs minus i)."""
+    if not callable(f):
+        raise InputError(f"cochain must be callable, got {_echo.repr(f)}")
     xs = _seq(xs, "tuple")
     total = Fraction(0)
     for i in range(len(xs)):
@@ -147,12 +150,14 @@ def coboundary(f, xs) -> Fraction:
 
 def _deleted_brackets(Fs, n):
     """(coco value, how many deleted-index brackets selected each
-    (flag, level))."""
+    (flag, level)).  One bracket walk serves all n + 1 deletions: deleting
+    i brackets F_0..F_{i-1} first, a prefix the deletions after it share."""
+    walk = _BracketWalk(Fs)
     mult: dict[tuple[int, int], int] = {}
     val = 1
     for i in range(n + 1):
-        kept = [a for a in range(n + 1) if a != i]
-        levels = _selections([Fs[a] for a in kept])[1]
+        kept = tuple(a for a in range(n + 1) if a != i)
+        levels = walk.levels(kept)
         val *= det_sign_int([Fs[a].ints[lev] for a, lev in zip(kept, levels)])
         for key in zip(kept, levels):
             mult[key] = mult.get(key, 0) + 1

@@ -11,6 +11,15 @@ oriented space [F_1, ..., F_k].  Membership tests run on primitive integer
 vectors (positive per-vector scaling cannot change any span or sign), while
 returned bases keep the original exact vectors so that g . bracket(Fs) equals
 bracket(g . Fs) on the nose.
+
+The bracket walk is written once, as _BracketWalk: the selection levels of
+(F_a for a in idx) for index tuples idx of one flag tuple, memoized on the
+index prefix, since the walk after F_{a_1}..F_{a_j} depends on nothing
+else.  A walk resumes from the longest prefix already walked and extends a
+span only when a longer walk reads it.  bracket_selections is the case of
+one walk; cocycles._deleted_brackets shares F_0..F_{i-1} across the n + 1
+deletions, and realize_points shares one walk across all its stages and
+its postcondition.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .linalg import (
     det_sign_int,
     mat,
     mat_vec,
-    ori,
     primitive_int_vec,
     projective_normalize,
 )
@@ -161,26 +169,48 @@ def _step(span: _IntSpan, F: OrientedFlag) -> int:
     raise InputError("flag cannot extend a full space")
 
 
+class _BracketWalk:
+    """Bracket selection levels of sub-tuples (F_a for a in idx) of one flag
+    tuple, memoized on the index prefix.  A walk starts from the span of
+    the longest prefix already walked, and a prefix's span is extended by
+    its last selected vector only when a longer walk reads it, never after
+    the last flag of a walk.  Two plain dicts, no closure: a memo forms no
+    reference cycle and is freed as soon as its caller drops it."""
+
+    __slots__ = ("Fs", "known", "spans")
+
+    def __init__(self, Fs):
+        self.Fs = Fs
+        self.known = {(): ()}           # prefix -> its selection levels
+        self.spans = {(): _IntSpan()}   # prefix -> span of its selected vectors
+
+    def levels(self, idx) -> tuple[int, ...]:
+        idx = tuple(idx)
+        levels = self.known.get(idx)
+        if levels is not None:
+            return levels
+        i = len(idx) - 1
+        while idx[:i] not in self.spans:
+            i -= 1
+        span, levels = self.spans[idx[:i]], self.known[idx[:i]]
+        for pos in range(i, len(idx)):
+            F, p = self.Fs[idx[pos]], idx[:pos + 1]
+            if p in self.known:
+                levels = self.known[p]
+            else:
+                levels = self.known[p] = levels + (_step(span, F),)
+            if pos + 1 < len(idx):
+                span = self.spans[p] = span.extended(F.ints[levels[-1]])
+        return levels
+
+
 def bracket_selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:
     """Iterated bracket plus the 0-indexed selection level per input flag."""
     Fs, n = _flags(Fs)
     if len(Fs) > n:
         raise InputError(f"bracket takes at most n={n} flags, got {len(Fs)}")
-    return _selections(Fs)
-
-
-def _selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:
-    """bracket_selections without the argument check, for the library's
-    own loops over flags it has checked (no flags: the empty bracket)."""
-    span = _IntSpan()
-    basis = []
-    levels = []
-    for F in Fs:
-        d = _step(span, F)
-        levels.append(d)
-        basis.append(F.basis[d])
-        span = span.extended(F.ints[d])
-    return OrientedSubspace(tuple(basis)), tuple(levels)
+    levels = _BracketWalk(Fs).levels(range(len(Fs)))
+    return OrientedSubspace(tuple(F.basis[d] for F, d in zip(Fs, levels))), levels
 
 
 def bracket(Fs) -> OrientedSubspace:
@@ -220,28 +250,33 @@ def realize_points(Fs):
     pair, padded with the already-found points above k), taken as the
     integer minor vector m of those rows (the flags' integer vectors at the
     selected levels and the integer points), a positive multiple of the
-    functional x |-> det(basis, x).  x_k is produced by walking from the
-    origin along F_k's integer vectors w (positive multiples of its basis)
-    with dyadic steps 2^-t <= min |m.y| / (2(|m.w| + 1)), at most 1; y is
-    kept as Y / 2^e with Y an integer vector.  Such a step moves m.y by less
+    functional x |-> det(basis, x).  Every bracket of the call, at every
+    stage and in the postcondition, is read from one _BracketWalk.  x_k is
+    produced by walking from the origin along F_k's integer vectors w
+    (positive multiples of its basis) with dyadic steps
+    2^-t <= min |m.y| / (2(|m.w| + 1)), at most 1; y is kept as Y / 2^e
+    with Y an integer vector.  Each constraint's m.w per level is computed
+    once, and m.Y is carried with Y: Y' = Y 2^(top-e) + w 2^(top-t), so
+    m.Y' = m.Y 2^(top-e) + m.w 2^(top-t).  Such a step moves m.y by less
     than half of |m.y|, whatever the positive scale of m, so a hyperplane
     once left is never re-crossed: each constraint sign is decided at the
     level where its hyperplane is first left, and equals sign m.w for F_k's
     lowest w off it, the bracket-extension orientation.  x_k is Y divided
-    by the gcd of its entries.  Every stage's sides and the quadratic-pair
-    postcondition (independent bracket and ori) are checked before
-    returning (PropertyViolation).
+    by the gcd of its entries.  Before returning, every stage's sides are
+    checked on m.Y computed afresh from Y, and every deleted pair's
+    det_sign_int of the output points against det_sign_int of the flags'
+    integer vectors at the walked levels (PropertyViolation).
     """
     Fs, n = _flags(Fs, extra=2)
+    walk = _BracketWalk(Fs)
 
     pts: dict[int, tuple[int, ...]] = {}
     for k in range(n + 1, -1, -1):
         others = [a for a in range(n + 2) if a != k]
-        constraints = []
+        constraints = []  # (m, m.w per level of F_k, target sign)
         for i, j in itertools.combinations(others, 2):
-            flagpart = [Fs[a] for a in range(k) if a not in (i, j)]
-            levels = _selections(flagpart)[1]
-            rows = [F.ints[d] for F, d in zip(flagpart, levels)]
+            below = tuple(a for a in range(k) if a not in (i, j))
+            rows = [Fs[a].ints[d] for a, d in zip(below, walk.levels(below))]
             rows += [pts[b] for b in range(k + 1, n + 2) if b not in (i, j)]
             m = _cofactor_functional(rows)
             if not any(m):
@@ -249,31 +284,35 @@ def realize_points(Fs):
             # V = ker m; the bracket extension of V by F_k appends F_k's
             # lowest w off V, and ori(rows + (w,)) = sign m.w by cofactor
             # expansion
-            s = next(x for x in (_dot(m, w) for w in Fs[k].ints) if x)
-            constraints.append((m, _sign(s)))
+            mw = [_dot(m, w) for w in Fs[k].ints]
+            constraints.append((m, mw, _sign(next(x for x in mw if x))))
 
         Y, e = (0,) * n, 0
-        for w in Fs[k].ints:
+        mY = [0] * len(constraints)  # m.Y per constraint, carried with Y
+        for lev, w in enumerate(Fs[k].ints):
             # smallest t >= 0 with 2^(e+1) (|m.w| + 1) <= 2^t |m.Y| for
             # every constraint that Y is off
             t = 0
-            for m, _ in constraints:
-                a = abs(_dot(m, Y))
+            for (_, mw, _), a in zip(constraints, mY):
                 if a:
-                    need = (abs(_dot(m, w)) + 1) << (e + 1)
+                    a = abs(a)
+                    need = (abs(mw[lev]) + 1) << (e + 1)
                     tc = max(0, need.bit_length() - a.bit_length())
                     t = max(t, tc + ((a << tc) < need))
             top = max(e, t)
             Y = tuple((y << (top - e)) + (x << (top - t)) for y, x in zip(Y, w))
+            mY = [(a << (top - e)) + (mw[lev] << (top - t))
+                  for (_, mw, _), a in zip(constraints, mY)]
             e = top
-        for m, target in constraints:
+        for m, _, target in constraints:
             if _sign(_dot(m, Y)) != target:
                 raise PropertyViolation(f"point x_{k} is on the wrong side of a constraint")
         pts[k] = _primitive(Y)
 
     out = tuple(pts[a] for a in range(n + 2))
     for i, j in itertools.combinations(range(n + 2), 2):
-        kept = [a for a in range(n + 2) if a not in (i, j)]
-        if ori([out[a] for a in kept]) != ori(_selections([Fs[a] for a in kept])[0].basis):
+        kept = tuple(a for a in range(n + 2) if a not in (i, j))
+        flagpart = [Fs[a].ints[d] for a, d in zip(kept, walk.levels(kept))]
+        if det_sign_int([out[a] for a in kept]) != det_sign_int(flagpart):
             raise PropertyViolation(f"deleted pair ({i}, {j}) orientation mismatch")
     return out

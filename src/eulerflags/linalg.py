@@ -351,13 +351,13 @@ def sig(g) -> int:
 
 
 def mat_vec(m, v) -> tuple[Fraction, ...]:
-    if len(m[0]) != len(v):
+    if not m or len(m[0]) != len(v):
         raise InputError("matrix/vector shape mismatch")
     return tuple(sum(r[c] * v[c] for c in range(len(v))) for r in m)
 
 
 def mat_mul(a, b):
-    if len(a[0]) != len(b):
+    if not a or len(a[0]) != len(b):
         raise InputError("matrix shape mismatch")
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(r, col)) for col in bt) for r in a)
@@ -411,4 +411,4 @@ def frame_transform(xs):
 
 def e0(n):
     """e_0 = e_1 + ... + e_n."""
-    return tuple(Fraction(1) for _ in range(n))
+    return (Fraction(1),) * _integer(n, "dimension")

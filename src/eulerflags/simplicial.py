@@ -37,6 +37,7 @@ from .linalg import (
     InputError,
     PropertyViolation,
     _clear_matrix,
+    _echo,
     _integer,
     _inverse,
     _seq,
@@ -265,6 +266,12 @@ def _simplex_value(bundle: FlatBundleComplex, verts, mode: str) -> Fraction:
     return vals[0]
 
 
+def _check_bundle(bundle) -> FlatBundleComplex:
+    if not isinstance(bundle, FlatBundleComplex):
+        raise InputError(f"expected a FlatBundleComplex, got {_echo.repr(bundle)}")
+    return bundle
+
+
 def euler_number(bundle: FlatBundleComplex, mode: str = "smillie"):
     """(raw, integer, per_simplex): the chain pairing of the chosen cocycle.
 
@@ -275,6 +282,7 @@ def euler_number(bundle: FlatBundleComplex, mode: str = "smillie"):
     inconsistently.  sullivan mode raises NonGenericSection on any
     non-generic section.
     """
+    _check_bundle(bundle)
     if mode not in ("smillie", "sullivan"):
         raise InputError(f"unknown euler mode {mode!r}")
     per_simplex = []
@@ -295,7 +303,8 @@ def gauge_transform(bundle: FlatBundleComplex, hs) -> FlatBundleComplex:
     h_x g_xy h_y^(-1) = H_x G_xy K_y / (l_x L_xy l'_y), for (l_x, H_x) = h_x
     cleared and (l'_y, K_y) its _inverse.  Per-simplex values are unchanged;
     relative defects are not, so the result is validated at the bundle's tol."""
-    n, hs = bundle.n, [_clear_matrix(h) for h in _seq(hs, "gauge matrices")]
+    n = _check_bundle(bundle).n
+    hs = [_clear_matrix(h) for h in _seq(hs, "gauge matrices")]
     if len(hs) != bundle.vertices:
         raise InputError("need one gauge matrix per vertex")
     if any(len(h) != n or det_sign_int(h) != 1 for _, h in hs):
@@ -315,6 +324,6 @@ def gauge_transform(bundle: FlatBundleComplex, hs) -> FlatBundleComplex:
 def with_section(bundle: FlatBundleComplex, section) -> FlatBundleComplex:
     """The bundle with another section, sharing its validated transitions
     and their cleared pairs; only the new section is checked."""
-    out = copy.copy(bundle)
+    out = copy.copy(_check_bundle(bundle))
     out._set_section(section)
     return out

@@ -11,8 +11,8 @@ from eulerflags import linalg
 from eulerflags.cocycles import (_deleted_brackets, _flipped_bracket_table,
                                  coboundary, coc, coco, coboundary_kill_witness,
                                  obstruction_witness, pcoc, smi, sul)
-from eulerflags.flags import (_IntSpan, flag_equal_unoriented, flagstaff,
-                              make_flag)
+from eulerflags.flags import (_IntSpan, bracket_selections, flag_equal_unoriented,
+                              flagstaff, make_flag)
 from eulerflags.linalg import (InputError, OddDimensionError, PropertyViolation,
                                det, det_sign_int, e0, identity, ori, sig)
 from eulerflags.randgen import RationalSampler
@@ -136,6 +136,58 @@ def _top_level(Fs):
     return max(level for _, level in _deleted_brackets(Fs, Fs[0].n)[1])
 
 
+def _record_extensions(monkeypatch):
+    """Every _IntSpan.extended call's vector, in order."""
+    calls = []
+    extended = _IntSpan.extended
+
+    def recorded(self, iv):
+        calls.append(iv)
+        return extended(self, iv)
+
+    monkeypatch.setattr(_IntSpan, "extended", recorded)
+    return calls
+
+
+def _deleted_brackets_oracle(Fs, n):
+    """_deleted_brackets with one public bracket_selections per deletion,
+    no walk shared between them."""
+    val, mult = 1, Counter()
+    for i in range(n + 1):
+        kept = [a for a in range(n + 1) if a != i]
+        levels = bracket_selections([Fs[a] for a in kept])[1]
+        val *= det_sign_int([Fs[a].ints[lev] for a, lev in zip(kept, levels)])
+        mult.update(zip(kept, levels))
+    return val, dict(mult)
+
+
+@pytest.mark.parametrize("n, count", [(2, 200), (4, 40)])
+def test_deleted_brackets_match_per_deletion_oracle(n, count):
+    s, pool = RationalSampler(44 + n), RationalSampler(45 + n)
+    tuples = [s.flags(n, n + 1) for _ in range(count)]
+    tuples += [pool.pool_flags(n, n + 1) for _ in range(count)]
+    tops = []
+    for Fs in tuples:
+        got = _deleted_brackets(Fs, n)
+        assert got == _deleted_brackets_oracle(Fs, n)
+        tops.append(max(level for _, level in got[1]))
+    assert max(tops) >= 1  # pool tuples reach selection levels above 0
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_deleted_brackets_share_prefixes(n, monkeypatch):
+    # deleting i walks F_0..F_{i-1} first: n - 1 extensions for i = 0, then
+    # n - i for i >= 1 (the prefix F_0..F_{i-2} is already extended), none
+    # after a walk's last flag: 2, 9 and 20 where one walk per deletion
+    # made n (n + 1)
+    calls = _record_extensions(monkeypatch)
+    s = RationalSampler(46)
+    for Fs in (s.flags(n, n + 1), s.pool_flags(n, n + 1)):
+        calls.clear()
+        _deleted_brackets(Fs, n)
+        assert len(calls) == n - 1 + n * (n - 1) // 2 == {2: 2, 4: 9, 6: 20}[n]
+
+
 def test_flip_table_matches_walk_n2_pool():
     # every pattern of every deleted index, on {-1, 0, 1} pool bases
     s = RationalSampler(31)
@@ -172,14 +224,7 @@ def test_flip_table_shares_prefixes(n, monkeypatch):
     # one span extension per prefix of slot bits: sum over a <= n - 2 of
     # 2^(n(a+1)), 4 at n = 2 and 16 + 256 + 4096 at n = 4, where one walk
     # per pattern makes n 2^(n*n)
-    calls = []
-    extended = _IntSpan.extended
-
-    def counted(self, iv):
-        calls.append(iv)
-        return extended(self, iv)
-
-    monkeypatch.setattr(_IntSpan, "extended", counted)
+    calls = _record_extensions(monkeypatch)
     bases = _deleted_bases(RationalSampler(34).flags(n, n + 1))[0]
     _flipped_bracket_table(bases, n)
     assert len(calls) == sum(2 ** (n * (a + 1)) for a in range(n - 1)) \

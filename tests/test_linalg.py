@@ -1,6 +1,5 @@
 """Exact kernels: ori, sig, spanning tests, projective form, frame moves."""
 
-import doctest
 import math
 import random
 import time
@@ -253,11 +252,6 @@ def test_det_sign_int_rejects_non_square(rows, k, length):
     with pytest.raises(InputError,
                        match=f"expected {k} rows of length {k}, got one of length {length}"):
         det_sign_int(rows)
-
-
-def test_linalg_doctests():
-    res = doctest.testmod(linalg)
-    assert res.failed == 0 and res.attempted >= 8
 
 
 def test_hereditarily_spanning_pinned():

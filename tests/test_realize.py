@@ -1,14 +1,18 @@
 """Point realization of flag tuples: every deleted-pair orientation
 target must be hit exactly, and the output must span hereditarily."""
 
+import gc
 import hashlib
+import itertools
 import json
 import math
 
 import pytest
 
 from eulerflags import flags
-from eulerflags.flags import bracket, make_flag, realize_points
+from eulerflags.cocycles import coc, coco
+from eulerflags.flags import (bracket, bracket_selections, make_flag,
+                              realize_points)
 from eulerflags.linalg import (InputError, PropertyViolation,
                                hereditarily_spanning, ori)
 from eulerflags.randgen import RationalSampler
@@ -99,13 +103,53 @@ REALIZE_PINS = {
 }
 
 
+# the same digests on {-1, 0, 1} pool flags (RationalSampler(800 + n)),
+# whose shared lines put bracket selection levels above 0 (the highest
+# level over the deleted pairs is asserted per tuple); recorded before the
+# bracket walks were shared across realize_points' stages.
+POOL_PINS = {
+    4: [
+        ("002e227765e58afde8b6bd0649ce1c607a5985df4cc6b8089f3c9ab2984fe8dc", 3),
+        ("1f0981454e6be069a54b9909c329167132e3cf97cb92215afa3de6c30aa1bc92", 1),
+        ("1cea9acb4924f7b20ffb0b338244e8547cda7be0a7b2e1fc026aca7868de7402", 3),
+        ("b30b5261937a3b0dda87be8e4b51461fa64e43495923d2e3f108f42312cf652e", 1),
+        ("7f41645f23de7719bbefe37a9af729133290cf9bb3c11dd9e4abaa1e49020478", 1),
+        ("08934e9173fb1e45e9e4f0edf7b3c7a4ccb61ef4883cb67d0a19e447c8f97b5e", 1),
+        ("62e9ee47d671c40a12c92c4e96ffed19d1c5ba5c02031eb07bcdc6484406dbb5", 3),
+        ("6e9771a836646550fb3fd3a86fa8d5561fd099a29b568fd97294926d6a8f5c1b", 2),
+        ("cd33053e9cd8581feee0a7a38f93d83e2e24a656930f7bca266c5d9307f8253f", 1),
+        ("9f869d99dc88c85df1408938dab2c2466b71383abd79a62d04e80c605baefe9a", 2),
+    ],
+    6: [
+        ("f757feebe8d9d27e347ede82a447a8acfa96e1873496b18c6906b36b8e7e0e34", 3),
+        ("98bb1bfac8beab4b19803e80856295c51f1d8c53cedd98e8ef19070588171e38", 2),
+        ("97e02a6082f4be5b9ff26eac018778e88566122ad1b7ca99c24a6b3a4c10d163", 1),
+        ("6fb3a530e4adcf9ad566933bf331d8493aa78c52a494a2a2e220bd99621fb577", 2),
+    ],
+}
+
+
+def _digest(xs):
+    doc = json.dumps([[str(x) for x in p] for p in xs])
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("n,m", sorted(REALIZE_PINS))
 def test_outputs_pinned(n, m):
     s = RationalSampler(700 + n, m=m)
     for want in REALIZE_PINS[(n, m)]:
-        xs = realize_points(s.flags(n, n + 2))
-        doc = json.dumps([[str(x) for x in p] for p in xs])
-        assert hashlib.sha256(doc.encode()).hexdigest() == want
+        assert _digest(realize_points(s.flags(n, n + 2))) == want
+
+
+@pytest.mark.parametrize("n", sorted(POOL_PINS))
+def test_pool_outputs_pinned(n):
+    s = RationalSampler(800 + n)
+    for want, top in POOL_PINS[n]:
+        Fs = s.pool_flags(n, n + 2)
+        assert max(max(bracket_selections([Fs[t] for t in range(n + 2)
+                                           if t not in (i, j)])[1])
+                   for i, j in itertools.combinations(range(n + 2), 2)) == top
+        assert _digest(realize_points(Fs)) == want
 
 
 def test_dependent_constraint_basis_is_an_invariant_violation(monkeypatch):
@@ -113,8 +157,57 @@ def test_dependent_constraint_basis_is_an_invariant_violation(monkeypatch):
     # the caller's: realize_points reports it as a PropertyViolation.  At
     # n = 4 a constraint brackets up to three flags; selecting the same
     # level of equal flags makes its rows dependent.
-    monkeypatch.setattr(flags, "_selections",
-                        lambda Fs: (None, (0,) * len(Fs)))
+    monkeypatch.setattr(flags._BracketWalk, "levels",
+                        lambda self, idx: (0,) * len(tuple(idx)))
     std = make_flag(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     with pytest.raises(PropertyViolation, match="not a hyperplane"):
         realize_points((std,) * 6)
+
+
+def _walked_prefixes(n):
+    """The nonempty proper prefixes of the flag-index tuples realize_points
+    brackets: each stage's constraint flags (those below k minus a pair)
+    and the postcondition's n-tuples (all minus a pair)."""
+    idxs = {tuple(a for a in range(k) if a not in pair)
+            for k in range(n + 2)
+            for pair in itertools.combinations([a for a in range(n + 2) if a != k], 2)}
+    idxs |= {tuple(a for a in range(n + 2) if a not in pair)
+             for pair in itertools.combinations(range(n + 2), 2)}
+    return {t[:length] for t in idxs for length in range(1, len(t))}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_walk_extends_each_prefix_once(n, monkeypatch):
+    # one span extension per walked proper prefix, shared by every stage and
+    # the postcondition, none after a walk's last flag: 3, 19 and 55 where
+    # one walk per bracket made 18, 150 and 588
+    calls = []
+    extended = flags._IntSpan.extended
+
+    def counted(self, iv):
+        calls.append(iv)
+        return extended(self, iv)
+
+    monkeypatch.setattr(flags._IntSpan, "extended", counted)
+    s = RationalSampler(900 + n)
+    for Fs in (s.flags(n, n + 2), s.pool_flags(n, n + 2)):
+        calls.clear()
+        realize_points(Fs)
+        assert len(calls) == len(_walked_prefixes(n)) == {2: 3, 4: 19, 6: 55}[n]
+
+
+def test_walks_leave_no_reference_cycles():
+    # a call's walk memo is freed by reference counting when the call
+    # returns; a memo in a cycle would wait for the cyclic collector
+    s = RationalSampler(910)
+    tuples = [s.pool_flags(4, 6) for _ in range(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for Fs in tuples:
+            realize_points(Fs)
+            coco(Fs[:5])
+            coc(Fs[:5])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

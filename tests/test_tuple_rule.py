@@ -12,10 +12,12 @@ from eulerflags.circle import euler_number_oracle
 from eulerflags.cocycles import coboundary, coc, coco, pcoc, smi, sul
 from eulerflags.flags import (bracket, bracket_selections, flag_equal_unoriented,
                               flagstaff, flip, make_flag, realize_points)
-from eulerflags.linalg import (InputError, _tuple, det, frame_transform,
-                               hereditarily_spanning, identity, ori, sig)
+from eulerflags.linalg import (InputError, _tuple, det, e0, frame_transform,
+                               hereditarily_spanning, identity, mat_mul, mat_vec,
+                               ori, sig)
 from eulerflags.randgen import RationalSampler
-from eulerflags.simplicial import FlatBundleComplex, chain_boundary, gauge_transform
+from eulerflags.simplicial import (FlatBundleComplex, chain_boundary, euler_number,
+                                  gauge_transform, with_section)
 
 I2 = ((1, 0), (0, 1))
 F = make_flag(I2)
@@ -35,6 +37,7 @@ MALFORMED = {
     "coco(5)": lambda: coco(5),
     "coc(5)": lambda: coc(5),
     "coboundary(pcoc, 5)": lambda: coboundary(pcoc, 5),
+    "coboundary(5, xs)": lambda: coboundary(5, [(1, 0), (0, 1), (1, 1), (1, -1)]),
     # flags
     "bracket(5)": lambda: bracket(5),
     "bracket([matrix])": lambda: bracket([[[1, 0], [0, 1]]]),
@@ -57,8 +60,14 @@ MALFORMED = {
     "ori(5)": lambda: ori(5),
     "sig(5)": lambda: sig(5),
     "identity(2.0)": lambda: identity(2.0),
+    "e0(2.0)": lambda: e0(2.0),
+    "mat_vec([], [])": lambda: mat_vec([], []),
+    "mat_mul([], [])": lambda: mat_mul([], []),
     # bundles
     "gauge_transform(b, 5)": lambda: gauge_transform(_bundle(), 5),
+    "gauge_transform(5, hs)": lambda: gauge_transform(5, [I2] * 3),
+    "euler_number(5)": lambda: euler_number(5),
+    "with_section(5, s)": lambda: with_section(5, [(1, 0)] * 3),
     "euler_number_oracle(5)": lambda: euler_number_oracle(5),
     "FlatBundleComplex(simplices=5)": lambda: _bundle(simplices=5),
     "FlatBundleComplex(simplices=[5])": lambda: _bundle(simplices=[5]),
@@ -116,6 +125,6 @@ def test_flag_tuples_are_checked_once_per_call(n, monkeypatch):
     assert calls == [1] * len(calls) and len(calls) == (3 if n == 2 else 2)
     calls.clear()
     monkeypatch.setattr(flags, "_flags", counted)
-    monkeypatch.setattr(flags, "bracket_selections", None)  # the loops use _selections
+    monkeypatch.setattr(flags, "bracket_selections", None)  # the loops use _BracketWalk
     realize_points(s.flags(n, n + 2))
     assert calls == [2]
