@@ -10,21 +10,11 @@ rescales it by -1, which changes no span), so each flip bit enters the
 average as a +-1 power equal to the number of deleted-index brackets that
 selected that (flag, level); the average collapses to coco on the base
 orientations when every selection multiplicity is even and to 0 otherwise.
-The naive mode re-runs the bracket machinery on flipped flags without that
-argument: for each deleted index it fills a full table of the bracket's
-orientation sign over all 2^(n*n) flip patterns of the n flags it brackets,
-then averages the product of the n+1 tables over all 2^(n(n+1)) flip
-combinations; it exists as the differential-testing oracle for the
-factorized mode.  A table is filled by a prefix-shared walk: the span after
-slots 0..a-1 depends only on their flip bits, so the walk goes depth-first
-and extends each prefix's span once (4,368 extensions per table at n = 4,
-where one walk per pattern made 262,144).  At each node of the walk (one
-span, one slot) each signed vector is tested for membership once, on
-itself (never deriving -v's membership from v's): 8,738 tests per table
-on generic flags at n = 4, where one test per pattern and level made
-69,904.  Every one of the 2^(n*n) patterns still selects on its own
-flipped vectors and takes its own det_sign_int (65,536 per table at
-n = 4).
+The naive mode is that average as defined: _flipped_bracket_table signs each
+deleted-index bracket on its own flipped vectors for every flip pattern of
+its n flags, and one np.einsum contraction, one axis of 2^n flip patterns
+per flag, sums the product of the n + 1 tables over all 2^(n(n+1))
+combinations.  It is the oracle the factorized mode is tested against.
 
 pcoc, sul_classify, sul and smi all read the Cramer signs
 s_i = (-1)^i ori(x minus i) of the tuple: the signs of linalg's signed
@@ -168,62 +158,56 @@ def _deleted_brackets(Fs, n):
 
 def _flipped_bracket_table(bases, n) -> np.ndarray:
     """The bracket's orientation sign for every flip pattern of the n flags
-    it brackets, as an int8 table of 2^(n*n) entries.
-
-    bases: per slot, the flag's primitive integer level vectors; pattern
-    bit a*n + l negates level l of slot a.  Honest recomputation: every
-    pattern's selection runs on its flipped vectors themselves, but the
-    walk is depth-first, so the span after slots 0..a-1 is built once per
-    prefix of their bits and shared by every pattern with that prefix.
-    At a node, the membership of each signed vector (level, sign bit) is
-    tested once, on that vector, and read by every pattern of the slot.
-    Each pattern still takes its own det_sign_int at the last slot.
-    """
+    it brackets, as an int8 table of 2^(n*n) entries; bases holds each
+    slot's primitive integer level vectors, and pattern bit a*n + l negates
+    level l of slot a.  Every pattern selects on its own flipped vectors and
+    takes its own det_sign_int, but the walk is depth-first: the span after
+    slots 0..a-1 is built once per prefix of their bits, and at each node
+    each signed vector's membership is tested once, on that vector."""
     table = np.empty(1 << (n * n), dtype=np.int8)
     signed = [[(iv, tuple(-x for x in iv)) for iv in base] for base in bases]
-
-    def walk(a, span, chosen, prefix):
-        inside = {}  # (level, sign bit) -> the signed vector is in span
-        for bits in range(1 << n):
-            for l, pair in enumerate(signed[a]):
-                s = (bits >> l) & 1
-                v = pair[s]
-                if (l, s) not in inside:
-                    inside[l, s] = span.contains_int(v)
-                if not inside[l, s]:
-                    break
-            else:
-                raise PropertyViolation("a complete flag always extends a proper subspace")
-            pattern = prefix | bits << (a * n)
-            if a == n - 1:
-                table[pattern] = det_sign_int(chosen + [v])
-            else:
-                walk(a + 1, span.extended(v), chosen + [v], pattern)
-
-    walk(0, _IntSpan(), [], 0)
+    _flip_walk(table, signed, 0, _IntSpan(), [], 0)
     return table
+
+
+def _flip_walk(table, signed, a, span, chosen, prefix):
+    """Fill table below the node where slots 0..a-1, flipped by prefix, chose chosen."""
+    n = len(signed)
+    inside = {}  # (level, sign bit) -> the signed vector is in span
+    for bits in range(1 << n):
+        for l, pair in enumerate(signed[a]):
+            s = (bits >> l) & 1
+            v = pair[s]
+            if (l, s) not in inside:
+                inside[l, s] = span.contains_int(v)
+            if not inside[l, s]:
+                break
+        else:
+            raise PropertyViolation("a complete flag always extends a proper subspace")
+        pattern = prefix | bits << (a * n)
+        if a == n - 1:
+            table[pattern] = det_sign_int(chosen + [v])
+        else:
+            _flip_walk(table, signed, a + 1, span.extended(v), chosen + [v], pattern)
 
 
 def _coc_naive(Fs, n) -> Fraction:
     m = n * (n + 1)
     if m > 20:  # at most 2^20 terms: n <= 4
         raise InputError(f"naive deflation needs 2^{m} terms, over the budget of 2^20")
-    nn = n * n
-    tables = [_flipped_bracket_table([Fs[a].ints for a in range(n + 1) if a != i], n)
-              for i in range(n + 1)]
-    masks = np.arange(1 << m, dtype=np.int64)
-    prod = np.ones(1 << m, dtype=np.int8)
-    lo_all = (1 << nn) - 1
+    operands = []
     for i in range(n + 1):
-        lo = (1 << (n * i)) - 1
-        key = (masks & lo) | ((masks >> n) & (lo_all ^ lo))
-        prod *= tables[i][key]
-    total = int(prod.sum(dtype=np.int64))
+        kept = [a for a in range(n + 1) if a != i]
+        table = _flipped_bracket_table([Fs[a].ints for a in kept], n)
+        # slot a's flip bits sit at a*n.., so the last kept flag's axis is first
+        operands += [table.reshape((1 << n,) * n), kept[::-1]]
+    total = int(np.einsum(*operands, [], dtype=np.int64))
     return Fraction(total, 1 << m)
 
 
 def coc(Fs, mode: str = "factorized") -> Fraction:
-    """Deflated flag cocycle: the average of coco over all flip combinations."""
+    """Deflated flag cocycle, the mean of coco over all 2^(n(n+1)) flips: read
+    off one bracket walk, or (mode="naive", n <= 4) summed by one np.einsum."""
     Fs, n = _flags(Fs, extra=1)
     if mode == "factorized":
         val, mult = _deleted_brackets(Fs, n)

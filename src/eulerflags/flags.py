@@ -73,7 +73,7 @@ class _IntSpan:
         red = _reduce_int(list(iv), self.rows)
         p = _pivot(red)
         if p < 0:
-            raise InputError("vector already in span")
+            raise PropertyViolation("vector already in span")
         return _IntSpan(sorted(self.rows + [(p, _primitive(red))]))
 
 
@@ -166,7 +166,7 @@ def _step(span: _IntSpan, F: OrientedFlag) -> int:
     for j, iv in enumerate(F.ints):
         if not span.contains_int(iv):
             return j
-    raise InputError("flag cannot extend a full space")
+    raise PropertyViolation("flag cannot extend a full space")
 
 
 class _BracketWalk:

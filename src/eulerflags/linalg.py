@@ -132,11 +132,16 @@ def vec(xs) -> tuple[Fraction, ...]:
     return tuple(fr(x) for x in _seq(xs, "vector"))
 
 
-def mat(rows) -> tuple[tuple[Fraction, ...], ...]:
-    m = tuple(vec(r) for r in _seq(rows, "matrix"))
-    if m and any(len(r) != len(m[0]) for r in m):
+def _rows(m) -> tuple[tuple, ...]:
+    """m as a tuple of row tuples of one length; else InputError."""
+    m = tuple([_seq(r, "matrix row") for r in _seq(m, "matrix")])
+    if len(set(map(len, m))) > 1:
         raise InputError("ragged matrix")
     return m
+
+
+def mat(rows) -> tuple[tuple[Fraction, ...], ...]:
+    return _rows(tuple(vec(r) for r in _seq(rows, "matrix")))
 
 
 def is_zero_vec(v) -> bool:
@@ -288,7 +293,7 @@ def _minors(rows: list) -> list[int]:
 def _clear_matrix(m):
     """(L, rows) of a square matrix: its entries cleared together by _clear,
     so that rows = L * m with L the positive lcm of all its denominators."""
-    m = tuple(_seq(r, "matrix row") for r in _seq(m, "matrix"))
+    m = _rows(m)
     _require_square(m)
     k = len(m)
     den, flat = _clear([x for r in m for x in r])
@@ -350,17 +355,28 @@ def sig(g) -> int:
     return s
 
 
-def mat_vec(m, v) -> tuple[Fraction, ...]:
-    if not m or len(m[0]) != len(v):
-        raise InputError("matrix/vector shape mismatch")
+def _mat_vec(m, v):
+    # unchecked: rows of m as long as v, as in a validated bundle
     return tuple(sum(r[c] * v[c] for c in range(len(v))) for r in m)
 
 
-def mat_mul(a, b):
-    if not a or len(a[0]) != len(b):
-        raise InputError("matrix shape mismatch")
+def _mat_mul(a, b):
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(r, col)) for col in bt) for r in a)
+
+
+def mat_vec(m, v) -> tuple[Fraction, ...]:
+    m, v = _rows(m), _seq(v, "vector")
+    if not m or len(m[0]) != len(v):
+        raise InputError("matrix/vector shape mismatch")
+    return _mat_vec(m, v)
+
+
+def mat_mul(a, b):
+    a, b = _rows(a), _rows(b)
+    if not a or len(a[0]) != len(b):
+        raise InputError("matrix shape mismatch")
+    return _mat_mul(a, b)
 
 
 def identity(n):

@@ -40,6 +40,8 @@ from .linalg import (
     _echo,
     _integer,
     _inverse,
+    _mat_mul,
+    _mat_vec,
     _seq,
     det_sign_int,
     fr,
@@ -47,8 +49,6 @@ from .linalg import (
     int_vec,
     is_zero_vec,
     mat,
-    mat_mul,
-    mat_vec,
     require_even,
     vec,
 )
@@ -210,7 +210,7 @@ class FlatBundleComplex:
                 edges.add(e)
                 for a, b in (e,) if not tol else (e, e[::-1]):
                     (lab, gab), (lba, gba) = pair(a, b), pair(b, a)
-                    if not _close(mat_mul(gab, gba), lab * lba, ident, 1, tol):
+                    if not _close(_mat_mul(gab, gba), lab * lba, ident, 1, tol):
                         raise InputError(f"transitions ({a},{b}) and ({b},{a}) are not inverse")
             for t in itertools.combinations(face, 3):
                 if t in triangles:
@@ -219,7 +219,7 @@ class FlatBundleComplex:
                 for a, b, c in (t,) if not tol else itertools.permutations(t):
                     (lab, gab), (lbc, gbc) = pair(a, b), pair(b, c)
                     lac, gac = pair(a, c)
-                    if not _close(mat_mul(gab, gbc), lab * lbc, gac, lac, tol):
+                    if not _close(_mat_mul(gab, gbc), lab * lbc, gac, lac, tol):
                         raise InputError(
                             f"cocycle rule fails on ({a},{b},{c}) within simplex {verts}")
 
@@ -235,7 +235,7 @@ class FlatBundleComplex:
         vb = verts[base]
         ints = self._ints
         return tuple(ints[vj] if vj == vb else
-                     mat_vec(self._pair(vb, vj)[1], ints[vj])
+                     _mat_vec(self._pair(vb, vj)[1], ints[vj])
                      for vj in verts)
 
 
@@ -314,8 +314,8 @@ def gauge_transform(bundle: FlatBundleComplex, hs) -> FlatBundleComplex:
     for x, y in bundle.transitions:
         (lx, hx), (lg, g), (ly, ky) = hs[x], bundle._pair(x, y), invs[y]
         transitions[(x, y)] = tuple(tuple(Fraction(v, lx * lg * ly) for v in r)
-                                    for r in mat_mul(mat_mul(hx, g), ky))
-    section = [tuple(v / l for v in mat_vec(h, s))
+                                    for r in _mat_mul(_mat_mul(hx, g), ky))
+    section = [tuple(v / l for v in _mat_vec(h, s))
                for (l, h), s in zip(hs, bundle.section)]
     return FlatBundleComplex(n, bundle.vertices, bundle.simplices,
                              transitions, section, tol=bundle.tol)

@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 
 from .linalg import (InputError, PropertyViolation, _clear_matrix, _inverse,
-                     _seq, det_sign_int, fr, mat_mul)
+                     _mat_mul, _seq, det_sign_int, fr)
 from .randgen import RationalSampler
 from .simplicial import FlatBundleComplex, _close
 
@@ -139,12 +139,12 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
     cleared = {(): (1, ident)}
 
     def rho(word):
-        """(L, G) of a freely reduced word, memoized with its prefixes."""
-        lg = cleared.get(word)
-        if lg is None:
-            (l1, g1), (l2, g2) = rho(word[:-1]), letters[word[-1]]
-            lg = cleared[word] = l1 * l2, mat_mul(g1, g2)
-        return lg
+        """(L, G) of a freely reduced word, extending its longest memoized prefix."""
+        i = next(i for i in range(len(word), -1, -1) if word[:i] in cleared)
+        for j in range(i, len(word)):
+            (l1, g1), (l2, g2) = cleared[word[:j]], letters[word[j]]
+            cleared[word[:j + 1]] = l1 * l2, _mat_mul(g1, g2)
+        return cleared[word]
 
     cdeltas, closure = _corner_walk(g)
     l, m = rho(closure)

@@ -1,18 +1,20 @@
 """Cochain values, cocycle identities, witnesses, regression formulas."""
 
+import itertools
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from eulerflags import linalg
+from eulerflags import cocycles, linalg
 from eulerflags.cocycles import (_deleted_brackets, _flipped_bracket_table,
                                  coboundary, coc, coco, coboundary_kill_witness,
                                  obstruction_witness, pcoc, smi, sul)
 from eulerflags.flags import (_IntSpan, bracket_selections, flag_equal_unoriented,
-                              flagstaff, make_flag)
+                              flagstaff, flip, make_flag)
 from eulerflags.linalg import (InputError, OddDimensionError, PropertyViolation,
                                det, det_sign_int, e0, identity, ori, sig)
 from eulerflags.randgen import RationalSampler
@@ -101,6 +103,39 @@ def test_coc_pinned_zero():
     rev = make_flag((E2, E1))
     assert coc((std, std, rev)) == 0
     assert coc((std, std, rev), mode="naive") == 0
+
+
+def test_naive_coc_is_the_mean_of_coco_over_flips():
+    # the definition at n = 2: coco averaged over all 2^(n(n+1)) = 64 flip
+    # combinations, each flag's four flips built by the public flip
+    s, pool = RationalSampler(39), RationalSampler(40)
+    tuples = [s.flags(2, 3) for _ in range(100)] + [pool.pool_flags(2, 3) for _ in range(100)]
+    for Fs in tuples:
+        flipped = [[Fl, flip(Fl, 1), flip(Fl, 2), flip(flip(Fl, 1), 2)] for Fl in Fs]
+        mean = sum(coco(c) for c in itertools.product(*flipped)) / 64
+        assert coc(Fs, mode="naive") == mean
+    assert max(_top_level(Fs) for Fs in tuples) >= 1  # pool tuples reach level 1
+
+
+def test_naive_contraction_reads_the_table_layout(monkeypatch):
+    # the sum written out against the table layout: deleting i, pattern bit
+    # a*n + l is level l of the a-th kept flag.  Bracket signs cannot tell
+    # the flags' axes apart at n = 2; random +-1 tables can
+    rng = random.Random(41)
+    Fs = RationalSampler(42).flags(2, 3)
+    for _ in range(20):
+        tables = [np.array([rng.choice((-1, 1)) for _ in range(16)], dtype=np.int8)
+                  for _ in range(3)]
+        served = iter(tables)
+        monkeypatch.setattr(cocycles, "_flipped_bracket_table", lambda bases, n: next(served))
+        want = 0
+        for c in range(64):  # flag f's flip bits are bits 2f, 2f + 1 of c
+            term = 1
+            for i, table in enumerate(tables):
+                kept = [f for f in range(3) if f != i]
+                term *= int(table[sum(((c >> 2 * f) & 3) << 2 * a for a, f in enumerate(kept))])
+            want += term
+        assert coc(Fs, mode="naive") == F(want, 64)
 
 
 def test_coc_modes_agree():

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from eulerflags import flags
 from eulerflags.flags import (bracket, bracket_selections,
                               flag_equal_unoriented, flagstaff, flip,
                               make_flag)
-from eulerflags.linalg import InputError, mat_vec, ori
+from eulerflags.linalg import InputError, PropertyViolation, mat_vec, ori
 from eulerflags.randgen import RationalSampler
 
 F = Fraction
@@ -97,3 +98,24 @@ def test_bracket_spans_ignore_flips(n):
         _, sel2 = bracket_selections(Gs)
         assert sel == sel2
         assert bracket(Fs).dim == n
+
+
+STD4 = make_flag(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def test_span_that_cannot_extend_is_an_invariant_violation(monkeypatch):
+    # a walk extends a span of dimension < n by a flag that spans R^n, so
+    # some level is always off it; a span that holds every level is the
+    # library's fault, as in the naive walk
+    monkeypatch.setattr(flags._IntSpan, "contains_int", lambda self, iv: True)
+    with pytest.raises(PropertyViolation, match="cannot extend a full space"):
+        bracket((STD4, STD4))
+
+
+def test_extension_by_a_member_is_an_invariant_violation(monkeypatch):
+    # the walk extends a span only by a vector it found off the span; with
+    # membership answered wrongly, the same level of equal flags is
+    # selected twice and the second extension finds it inside
+    monkeypatch.setattr(flags._IntSpan, "contains_int", lambda self, iv: False)
+    with pytest.raises(PropertyViolation, match="already in span"):
+        bracket((STD4, STD4, STD4))

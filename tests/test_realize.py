@@ -1,6 +1,7 @@
 """Point realization of flag tuples: every deleted-pair orientation
 target must be hit exactly, and the output must span hereditarily."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -16,6 +17,7 @@ from eulerflags.flags import (bracket, bracket_selections, make_flag,
 from eulerflags.linalg import (InputError, PropertyViolation,
                                hereditarily_spanning, ori)
 from eulerflags.randgen import RationalSampler
+from eulerflags.surfaces import genus_surface_bundle, rational_flat_rep
 
 
 def _check_targets(Fs, xs, n):
@@ -198,16 +200,20 @@ def test_walk_extends_each_prefix_once(n, monkeypatch):
 
 def test_walks_leave_no_reference_cycles():
     # a call's walk memo is freed by reference counting when the call
-    # returns; a memo in a cycle would wait for the cyclic collector
+    # returns; a memo in a cycle would wait for the cyclic collector.  The
+    # naive coc walk and the surface bundle's word memo are checked too
     s = RationalSampler(910)
     tuples = [s.pool_flags(4, 6) for _ in range(3)]
+    naive = functools.partial(coc, mode="naive")
+    calls = [(f, arg) for Fs in tuples
+             for f, arg in ((realize_points, Fs), (coco, Fs[:5]), (coc, Fs[:5]))]
+    calls += [(naive, s.pool_flags(2, 3)), (naive, tuples[0][:5]),
+              (genus_surface_bundle, rational_flat_rep())]
     gc.collect()
     gc.disable()
     try:
-        for Fs in tuples:
-            realize_points(Fs)
-            coco(Fs[:5])
-            coc(Fs[:5])
-        assert gc.collect() == 0
+        for f, arg in calls:
+            f(arg)
+            assert gc.collect() == 0, f
     finally:
         gc.enable()

@@ -63,6 +63,13 @@ MALFORMED = {
     "e0(2.0)": lambda: e0(2.0),
     "mat_vec([], [])": lambda: mat_vec([], []),
     "mat_mul([], [])": lambda: mat_mul([], []),
+    "mat_vec(5, v)": lambda: mat_vec(5, (1,)),
+    "mat_vec(m, 5)": lambda: mat_vec([[1]], 5),
+    "mat_vec(ragged, v)": lambda: mat_vec(((1, 2), (3, 4, 5)), (1, 1)),
+    "mat_mul(5, b)": lambda: mat_mul(5, [[1]]),
+    "mat_mul(a, [row, 5])": lambda: mat_mul([[1, 2]], [[1], 5]),
+    "mat_mul(ragged, I2)": lambda: mat_mul(((1, 2), (3,)), I2),
+    "mat_mul(I2, ragged)": lambda: mat_mul(I2, ((1, 2), (3,))),
     # bundles
     "gauge_transform(b, 5)": lambda: gauge_transform(_bundle(), 5),
     "gauge_transform(5, hs)": lambda: gauge_transform(5, [I2] * 3),
