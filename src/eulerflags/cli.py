@@ -47,11 +47,9 @@ def _cmd_eval(args):
     if base in _POINT_KINDS:
         f = _POINT_KINDS[base]
         _, xs = load_points(doc)
-    elif base in _FLAG_KINDS:
+    else:  # argparse's choices leave only the flag kinds
         f = _FLAG_KINDS[base]
         _, xs = load_flags(doc)
-    else:
-        raise InputError(f"unknown eval kind {kind!r}")
     if base == "coc":
         f = lambda t: coc(t, mode=args.mode)
     value = coboundary(f, xs) if kind.startswith("d") else f(xs)

@@ -13,10 +13,10 @@ returned bases keep the original exact vectors so that g . bracket(Fs) equals
 bracket(g . Fs) on the nose.
 
 The bracket walk is written once, as _BracketWalk: the selection levels of
-(F_a for a in idx) for index tuples idx of one flag tuple, memoized on the
-index prefix, since the walk after F_{a_1}..F_{a_j} depends on nothing
-else.  A walk resumes from the longest prefix already walked and extends a
-span only when a longer walk reads it.  bracket_selections is the case of
+(F_a for a in idx) for index tuples idx of one flag tuple, by the
+bracket's own recurrence memoized on the index prefix, since the walk
+after F_{a_1}..F_{a_j} depends on nothing else; a prefix's span is built
+only when a longer walk reads it.  bracket_selections is the case of
 one walk; cocycles._deleted_brackets shares F_0..F_{i-1} across the n + 1
 deletions, and realize_points shares one walk across all its stages and
 its postcondition.
@@ -36,7 +36,7 @@ from .linalg import (
     _tuple,
     det_sign_int,
     mat,
-    mat_vec,
+    mat_mul,
     primitive_int_vec,
     projective_normalize,
 )
@@ -108,8 +108,8 @@ class OrientedFlag:
         return len(self.basis)
 
     def apply(self, g) -> "OrientedFlag":
-        g = mat(g)
-        return OrientedFlag(tuple(mat_vec(g, v) for v in self.basis))
+        # g times the basis as columns; mat_mul reads g by the rational rule
+        return OrientedFlag(tuple(zip(*mat_mul(g, tuple(zip(*self.basis))))))
 
     def __repr__(self):
         return f"OrientedFlag({self.basis!r})"
@@ -125,9 +125,9 @@ def _flag_dim(F) -> int:
     return F.n
 
 
-def _flags(Fs, extra=None) -> tuple[tuple[OrientedFlag, ...], int]:
+def _flags(Fs, extra=None, n=None) -> tuple[tuple[OrientedFlag, ...], int]:
     """linalg._tuple for flags: OrientedFlags of one dimension n = F.n."""
-    return _tuple(Fs, "flags", dim=_flag_dim, extra=extra)
+    return _tuple(Fs, "flags", dim=_flag_dim, extra=extra, n=n)
 
 
 def flip(F: OrientedFlag, i: int) -> OrientedFlag:
@@ -171,11 +171,12 @@ def _step(span: _IntSpan, F: OrientedFlag) -> int:
 
 class _BracketWalk:
     """Bracket selection levels of sub-tuples (F_a for a in idx) of one flag
-    tuple, memoized on the index prefix.  A walk starts from the span of
-    the longest prefix already walked, and a prefix's span is extended by
-    its last selected vector only when a longer walk reads it, never after
-    the last flag of a walk.  Two plain dicts, no closure: a memo forms no
-    reference cycle and is freed as soon as its caller drops it."""
+    tuple, by the bracket's recurrence memoized on the index prefix:
+    levels(idx) extends levels(idx[:-1]) by the step of F_idx[-1] off
+    _span(idx[:-1]), and _span(p) extends _span(p[:-1]) by p's last
+    selected vector, only when a longer walk reads it.  Plain dicts and
+    methods, no closure: a memo forms no reference cycle and is freed as
+    soon as its caller drops it."""
 
     __slots__ = ("Fs", "known", "spans")
 
@@ -186,22 +187,16 @@ class _BracketWalk:
 
     def levels(self, idx) -> tuple[int, ...]:
         idx = tuple(idx)
-        levels = self.known.get(idx)
-        if levels is not None:
-            return levels
-        i = len(idx) - 1
-        while idx[:i] not in self.spans:
-            i -= 1
-        span, levels = self.spans[idx[:i]], self.known[idx[:i]]
-        for pos in range(i, len(idx)):
-            F, p = self.Fs[idx[pos]], idx[:pos + 1]
-            if p in self.known:
-                levels = self.known[p]
-            else:
-                levels = self.known[p] = levels + (_step(span, F),)
-            if pos + 1 < len(idx):
-                span = self.spans[p] = span.extended(F.ints[levels[-1]])
-        return levels
+        if idx not in self.known:
+            head = idx[:-1]
+            self.known[idx] = self.levels(head) + (_step(self._span(head), self.Fs[idx[-1]]),)
+        return self.known[idx]
+
+    def _span(self, p) -> _IntSpan:
+        if p not in self.spans:
+            w = self.Fs[p[-1]].ints[self.levels(p)[-1]]
+            self.spans[p] = self._span(p[:-1]).extended(w)
+        return self.spans[p]
 
 
 def bracket_selections(Fs) -> tuple[OrientedSubspace, tuple[int, ...]]:

@@ -88,22 +88,25 @@ def _seq(xs, what: str, length=None) -> tuple:
     return xs
 
 
-def _tuple(xs, what: str, dim=len, extra=None) -> tuple[tuple, int]:
-    """(xs as a tuple, n) for a nonempty non-string sequence whose items
-    share one dimension n = dim(item); with extra, n must also be even and
-    the tuple must hold exactly n + extra items.  Else InputError."""
+def _tuple(xs, what: str, dim=len, extra=None, n=None) -> tuple[tuple, int]:
+    """(xs as a tuple, d) for a nonempty non-string sequence whose items
+    share one dimension d = dim(item), the declared n if one is given; with
+    extra, d must also be even and the tuple must hold exactly d + extra
+    items.  Else InputError."""
     xs = _seq(xs, what)
     if not xs:
         raise InputError(f"no {what} given")
-    n = dim(xs[0])
+    d = dim(xs[0])
     for x in xs:
-        if dim(x) != n:
+        if dim(x) != d:
             raise InputError(f"{what} of mixed dimension")
+    if n is not None and d != n:
+        raise InputError(f"{what} of dimension {d}, not the declared n={n}")
     if extra is not None:
-        require_even(n)
-        if len(xs) != n + extra:
-            raise InputError(f"need {n + extra} {what} in dimension n={n}, got {len(xs)}")
-    return xs, n
+        require_even(d)
+        if len(xs) != d + extra:
+            raise InputError(f"need {d + extra} {what} in dimension n={d}, got {len(xs)}")
+    return xs, d
 
 
 # an optional sign, ASCII digits, optionally "/" and ASCII digits; no
@@ -366,14 +369,14 @@ def _mat_mul(a, b):
 
 
 def mat_vec(m, v) -> tuple[Fraction, ...]:
-    m, v = _rows(m), _seq(v, "vector")
+    m, v = mat(m), vec(v)
     if not m or len(m[0]) != len(v):
         raise InputError("matrix/vector shape mismatch")
     return _mat_vec(m, v)
 
 
 def mat_mul(a, b):
-    a, b = _rows(a), _rows(b)
+    a, b = mat(a), mat(b)
     if not a or len(a[0]) != len(b):
         raise InputError("matrix shape mismatch")
     return _mat_mul(a, b)

@@ -1,7 +1,8 @@
 """JSON schemas for the CLI.
 
 A loader maps the keys of a document to constructor arguments and checks
-nothing itself: linalg's three input rules decide every value.  A rational
+nothing itself: linalg's input rules decide every value, and the tuple
+rule holds the points or flags to the declared n.  A rational
 (fr) is a JSON integer or a string "p/q" or "p" (an optional sign and ASCII
 digits; decimal, exponent, underscore and whitespace forms are refused);
 JSON floats, booleans and null are not rationals and raise
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import json
 
-from .flags import make_flag
-from .linalg import InputError, _integer, _seq, fr, mat
+from .flags import _flags, make_flag
+from .linalg import InputError, _integer, _seq, _tuple, fr, vec
 from .montecarlo import _check_gs
 
 
@@ -45,10 +46,7 @@ def _get(doc, key):
 
 def load_points(doc):
     n = _integer(_get(doc, "n"), "n")
-    pts = mat(_get(doc, "points"))
-    if any(len(v) != n for v in pts):
-        raise InputError(f"point of dimension != n={n}")
-    return n, pts
+    return n, _tuple([vec(v) for v in _seq(_get(doc, "points"), "points")], "points", n=n)[0]
 
 
 def dump_points(n, pts):
@@ -57,10 +55,7 @@ def dump_points(n, pts):
 
 def load_flags(doc):
     n = _integer(_get(doc, "n"), "n")
-    flags = tuple(make_flag(f) for f in _seq(_get(doc, "flags"), "flags"))
-    if any(F.n != n for F in flags):
-        raise InputError(f"flag of dimension != n={n}")
-    return n, flags
+    return n, _flags([make_flag(f) for f in _seq(_get(doc, "flags"), "flags")], n=n)[0]
 
 
 def dump_flags(n, flags):

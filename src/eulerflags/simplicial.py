@@ -43,6 +43,7 @@ from .linalg import (
     _mat_mul,
     _mat_vec,
     _seq,
+    _tuple,
     det_sign_int,
     fr,
     identity,
@@ -61,10 +62,16 @@ class NonGenericSection(InputError):
 
 def _chain(simplices) -> tuple:
     """A chain read once: ((vertex tuple, coefficient), ...) from a sequence
-    of (vertices, coefficient) pairs, every vertex and coefficient an int."""
-    terms = (_seq(t, "chain term", 2) for t in _seq(simplices, "simplices"))
-    return tuple((tuple(_integer(v, "simplex vertex") for v in _seq(verts, "simplex")),
-                  _integer(c, "chain coefficient")) for verts, c in terms)
+    of (vertices, coefficient) pairs, every vertex and coefficient an int
+    and no vertex repeated within a simplex."""
+    chain = []
+    for t in _seq(simplices, "simplices"):
+        verts, c = _seq(t, "chain term", 2)
+        verts = tuple(_integer(v, "simplex vertex") for v in _seq(verts, "simplex"))
+        if len(set(verts)) != len(verts):
+            raise InputError(f"repeated vertex in simplex {verts}")
+        chain.append((verts, _integer(c, "chain coefficient")))
+    return tuple(chain)
 
 
 def chain_boundary(simplices):
@@ -84,8 +91,6 @@ def _boundary(chain) -> dict:
         for i in range(len(verts)):
             face = verts[:i] + verts[i + 1:]
             key = tuple(sorted(face))
-            if len(set(key)) != len(key):
-                raise InputError(f"repeated vertex in simplex {verts}")
             inversions = sum(x > y for x, y in itertools.combinations(face, 2))
             coeff = out.get(key, 0) + c * (-1) ** (i + inversions)
             if coeff:
@@ -145,9 +150,10 @@ class FlatBundleComplex:
         section = tuple(vec(s) for s in _seq(section, "section"))
         if len(section) != self.vertices:
             raise InputError("section must assign a vector to every vertex")
-        for s in section:
-            if len(s) != self.n or is_zero_vec(s):
-                raise InputError("section vectors must be nonzero of dimension n")
+        if section:
+            _tuple(section, "section vectors", n=self.n)
+        if any(map(is_zero_vec, section)):
+            raise InputError("section vectors must be nonzero")
         self.section = section
         self._ints = tuple(int_vec(s) for s in section)
 
@@ -199,8 +205,6 @@ class FlatBundleComplex:
         for verts, _ in self.simplices:
             if len(verts) != n + 1:
                 raise InputError(f"simplex {verts} is not an n-simplex (n={n})")
-            if len(set(verts)) != len(verts):
-                raise InputError(f"repeated vertex in simplex {verts}")
             if any(not 0 <= v < self.vertices for v in verts):
                 raise InputError(f"vertex out of range in simplex {verts}")
             face = sorted(verts)

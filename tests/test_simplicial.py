@@ -245,6 +245,24 @@ def test_gauge_and_section_invariance():
     assert euler_number(with_section(b, _sections(4, seed=9)))[1] == 0
 
 
+def test_rank4_boundary_of_5_simplex():
+    # the boundary of the 5-simplex, six 4-simplices with signs (-1)^i: a
+    # closed chain whose 4-simplices share triangles, so validate checks
+    # each triangle once for several simplices
+    simplices = [(tuple(v for v in range(6) if v != i), (-1) ** i) for i in range(6)]
+    ts = {(a, b): identity(4) for a in range(6) for b in range(6) if a != b}
+    s = RationalSampler(41, m=9)
+    b = FlatBundleComplex(4, 6, simplices, ts, [s.nonzero_vector(4) for _ in range(6)])
+    for mode in ("smillie", "sullivan"):
+        assert euler_number(b, mode)[1] == 0
+    assert euler_number(gauge_transform(b, [s.glp_matrix(4) for _ in range(6)]))[1] == 0
+    assert euler_number(with_section(b, [s.nonzero_vector(4) for _ in range(6)]))[1] == 0
+    g = s.glp_matrix(4)
+    with pytest.raises(InputError, match="cocycle rule fails"):
+        FlatBundleComplex(4, 6, simplices, {**ts, (0, 1): g, (1, 0): mat_inv(g)},
+                          b.section)
+
+
 def test_negative_tol_rejected():
     simplices = [((0, 1, 2), 1)]
     with pytest.raises(InputError, match="tol"):

@@ -2,12 +2,13 @@
 InputError at every public entry point, never a bare TypeError,
 AttributeError, IndexError or ValueError."""
 
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from eulerflags import cocycles, flags, linalg
+from eulerflags import cocycles, flags, linalg, simplicial
 from eulerflags.circle import euler_number_oracle
 from eulerflags.cocycles import coboundary, coc, coco, pcoc, smi, sul
 from eulerflags.flags import (bracket, bracket_selections, flag_equal_unoriented,
@@ -16,6 +17,7 @@ from eulerflags.linalg import (InputError, _tuple, det, e0, frame_transform,
                                hereditarily_spanning, identity, mat_mul, mat_vec,
                                ori, sig)
 from eulerflags.randgen import RationalSampler
+from eulerflags.serialize import load_flags, load_gs, load_points
 from eulerflags.simplicial import (FlatBundleComplex, chain_boundary, euler_number,
                                   gauge_transform, with_section)
 
@@ -70,6 +72,10 @@ MALFORMED = {
     "mat_mul(a, [row, 5])": lambda: mat_mul([[1, 2]], [[1], 5]),
     "mat_mul(ragged, I2)": lambda: mat_mul(((1, 2), (3,)), I2),
     "mat_mul(I2, ragged)": lambda: mat_mul(I2, ((1, 2), (3,))),
+    "mat_vec(float entry, v)": lambda: mat_vec([[1.5, 2]], [1, 1]),
+    "mat_vec(m, float entry)": lambda: mat_vec([[1, 2]], [0.5, 1]),
+    "mat_mul(bool entry, b)": lambda: mat_mul([[True]], [[3]]),
+    "mat_vec(string entry, v)": lambda: mat_vec([["a"]], [2]),
     # bundles
     "gauge_transform(b, 5)": lambda: gauge_transform(_bundle(), 5),
     "gauge_transform(5, hs)": lambda: gauge_transform(5, [I2] * 3),
@@ -79,8 +85,16 @@ MALFORMED = {
     "FlatBundleComplex(simplices=5)": lambda: _bundle(simplices=5),
     "FlatBundleComplex(simplices=[5])": lambda: _bundle(simplices=[5]),
     "FlatBundleComplex(transitions=[5])": lambda: _bundle(transitions=[5]),
+    "FlatBundleComplex(transition pair out of range)":
+        lambda: _bundle(transitions={**_bundle().transitions, (0, 3): I2}),
     "chain_boundary(5)": lambda: chain_boundary(5),
     "chain_boundary(float coefficient)": lambda: chain_boundary([((0, 1, 2), 1.5)]),
+    "chain_boundary(degenerate edge)": lambda: chain_boundary([((0, 0), 1)]),
+    # documents
+    "load_points(no points)": lambda: load_points({"n": 2, "points": []}),
+    "load_flags(no flags)": lambda: load_flags({"n": 2, "flags": []}),
+    "load_flags(dimension 2, n=4)": lambda: load_flags({"n": 4, "flags": [I2]}),
+    "load_gs(2x2, n=4)": lambda: load_gs({"n": 4, "gs": [I2] * 3}),
 }
 
 
@@ -109,11 +123,51 @@ def test_tuple_rule():
         _tuple([(1, 2, 3)] * 4, "points", extra=1)
     # without extra, any common dimension and any length pass
     assert _tuple([(1, 2, 3)] * 7, "vectors")[1] == 3
+    # a declared n must be the items' common dimension
+    assert _tuple([(1, 2)], "points", n=2) == (((1, 2),), 2)
+    with pytest.raises(InputError, match="points of dimension 3, not the declared n=2"):
+        _tuple([(1, 2, 3)], "points", n=2)
+    with pytest.raises(InputError, match="points of mixed dimension"):
+        _tuple([(1, 2), (1, 2, 3)], "points", n=2)
 
 
 def test_mixed_dimension_is_decided_once():
     src = Path(linalg.__file__).parent
     assert sum(p.read_text().count("mixed dimension") for p in src.glob("*.py")) == 1
+
+
+def test_declared_dimension_and_repeated_vertices_are_decided_once():
+    texts = {p.name: p.read_text() for p in Path(linalg.__file__).parent.glob("*.py")}
+
+    def files(text):
+        return sorted(name for name, t in texts.items() for _ in range(t.count(text)))
+
+    assert files("not the declared n=") == ["linalg.py"]
+    assert "not the declared n=" in inspect.getsource(linalg._tuple)
+    assert files("repeated vertex") == ["simplicial.py"]
+    assert "repeated vertex" in inspect.getsource(simplicial._chain)
+    assert files("dimension != n") == []
+
+
+def test_declared_dimension_messages():
+    with pytest.raises(InputError, match="points of dimension 3, not the declared n=2"):
+        load_points({"n": 2, "points": [[1, 0, 0]]})
+    with pytest.raises(InputError, match="flags of dimension 2, not the declared n=4"):
+        load_flags({"n": 4, "flags": [I2]})
+    with pytest.raises(InputError, match="section vectors of dimension 3, not the declared n=2"):
+        FlatBundleComplex(2, 1, [], {}, [(1, 0, 0)])
+    with pytest.raises(InputError, match="section vectors must be nonzero"):
+        FlatBundleComplex(2, 1, [], {}, [(0, 0)])
+
+
+def test_empty_bundle_stays_valid():
+    assert euler_number(FlatBundleComplex(2, 0, [], {}, [])) == (0, 0, [])
+
+
+def test_mat_products_are_exact():
+    assert mat_vec([[1, "1/2"]], [2, 2]) == (3,)
+    assert type(mat_vec([[1, 2]], [1, 1])[0]) is Fraction
+    assert type(mat_mul([[3]], [[2]])[0][0]) is Fraction
 
 
 @pytest.mark.parametrize("n", [2, 4])
