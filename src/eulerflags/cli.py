@@ -6,14 +6,16 @@ witness (the obstruction tuple and the coboundary-killing matrices), verify
 realize (points realizing a flag tuple).  Exact values travel as rational
 strings; everything else is JSON on stdout.
 
-Exit codes: 0 success, 1 bad input (parse, arity, validation), 2 property
-violation — an invariant check failed or a verify suite found a counterexample.
+Exit codes: 0 success, 1 bad input (parse, arity, validation) or a stdout
+closed before the output was written, 2 property violation — an invariant
+check failed or a verify suite found a counterexample.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cocycles import (coboundary, coc, coco, coboundary_kill_witness,
@@ -153,7 +155,14 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`eulerflags verify ... | head`); point
+        # fd 1 at devnull so that the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

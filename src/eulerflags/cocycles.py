@@ -23,15 +23,18 @@ stays integer, never becoming Fractions).  pcoc is (-1)^(n/2) times their
 product.  sul is the barycentric-sign cocycle: all n+1 Cramer signs agree
 and are nonzero exactly when the origin lies in the open interior of the
 simplex spanned by the arguments, and sul is then that common sign.  That
-rule is written once, in sul_classify, which also certifies whether the
-value is generic (needed by the simplicial sullivan mode); sul is its
-value.  smi is the average of sul over the 2^(n+1) sign flips of the
-arguments, which makes it projective with sup-norm 2^(-n).  Flipping
-argument j multiplies every s_i with i != j by -1, so when no s_i vanishes
-exactly one antipodal pair of flips makes all signs agree, both with value
-prod s_i; hence smi = prod s_i / 2^n in closed form, nonzero iff the tuple
-is hereditarily spanning, and pcoc = (-1)^(n/2) 2^n smi.  The literal
-2^(n+1)-flip average is kept as an oracle in verify.smi_enumerated.
+rule is written once, in _sul_of_signs, which also certifies whether the
+value is generic (needed by the simplicial sullivan mode); sul_classify
+is that rule on a checked tuple and sul is its value.  smi is the average
+of sul over the 2^(n+1) sign flips of the arguments, which makes it
+projective with sup-norm 2^(-n).  Flipping argument j multiplies every
+s_i with i != j by -1, so when no s_i vanishes exactly one antipodal pair
+of flips makes all signs agree, both with value prod s_i; hence
+smi = prod s_i / 2^n in closed form (_smi_of_signs), nonzero iff the
+tuple is hereditarily spanning, and pcoc = (-1)^(n/2) 2^n smi.  The
+simplicial Euler number applies both rules to signs it reads from a
+validated bundle.  The literal 2^(n+1)-flip average is kept as an oracle
+in verify.smi_enumerated.
 """
 
 from __future__ import annotations
@@ -97,8 +100,11 @@ def sul_classify(vs):
     kernel direction has mixed signs, so no convex combination hits 0),
     otherwise non-generic.  Total: zero vectors are fine.
     """
-    ints, _ = _check_points(vs, allow_zero=True)
-    signs = _cramer_signs(ints)
+    return _sul_of_signs(_cramer_signs(_check_points(vs, allow_zero=True)[0]))
+
+
+def _sul_of_signs(signs):
+    """sul_classify's rule on the Cramer signs of a checked tuple."""
     if 1 in signs and -1 in signs:
         return Fraction(0), True
     if 0 in signs:
@@ -118,8 +124,12 @@ def smi(vs) -> Fraction:
     the product of the Cramer signs over 2^n.  Nonzero iff hereditarily
     spanning, since the n+1 deleted-index determinants are exactly the
     n-subsets of the tuple."""
-    ints, n = _check_points(vs)
-    return Fraction(math.prod(_cramer_signs(ints)), 2 ** n)
+    return _smi_of_signs(_cramer_signs(_check_points(vs)[0]))
+
+
+def _smi_of_signs(signs):
+    """smi on the n + 1 Cramer signs of a checked tuple."""
+    return Fraction(math.prod(signs), 2 ** (len(signs) - 1))
 
 
 def coboundary(f, xs) -> Fraction:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import re
 import reprlib
 from fractions import Fraction
@@ -360,7 +361,7 @@ def sig(g) -> int:
 
 def _mat_vec(m, v):
     # unchecked: rows of m as long as v, as in a validated bundle
-    return tuple(sum(r[c] * v[c] for c in range(len(v))) for r in m)
+    return tuple(sum(map(operator.mul, r, v)) for r in m)
 
 
 def _mat_mul(a, b):

@@ -1,10 +1,15 @@
 """Monte Carlo estimation of the ball-integral cocycle.
 
-Ball mode draws each v_i uniformly from the unit ball of R^n (uniform sphere
-direction times U^(1/n) radius) and averages sul(g_0 v_0, ..., g_n v_n);
-projective mode draws sphere directions only (a uniform point of P(R^n)
-plus a forgotten sign) and averages smi instead.  The integrand is
-0-homogeneous in every argument, so the two estimate the same number.
+Ball mode averages sul(g_0 v_0, ..., g_n v_n) over v_i uniform in the unit
+ball of R^n; projective mode averages smi over uniform points of P(R^n).
+The integrand is 0-homogeneous in every argument, so the two estimate the
+same number, and each sample is a raw standard normal draw: its direction
+is uniform on the sphere, and scaling argument j by any lambda_j > 0
+multiplies det_i and the mask scale of every i != j by the same factor, so
+no sign, no ambiguity decision and no estimate depends on the argument's
+length.  The draws are therefore never normalized nor given a U^(1/n)
+radius; ball mode still draws the radii, unused, so that its streams (and
+every recorded estimate) stay where they were.
 
 Floats throughout: the target is transcendental and only statistical
 agreement is claimed.  A sample whose deleted determinants come within
@@ -13,14 +18,13 @@ from the same stream (unbiased off a measure-zero set), with a counter
 reported.  Streams are counter-based (Philox) keyed by (seed, chunk index)
 and reduced in fixed chunk order, so results are bit-reproducible.
 
-A batch is laid out samples last: the draw (samples, n+1, n) is
-normalized in place, and one matmul turns it into the rows
-w = (g_i v_i) of shape (n+1, n, samples), so every row and column slice
-is a contiguous array over the samples.  The n+1 deleted determinants
-come from a Laplace expansion on those arrays: the minors of the first
-k+1 columns on every (k+1)-subset of rows, each a signed sum of k+1
-products of a column entry with a minor of the level below, two levels
-alive at a time (70 multiply-adds per sample at n = 4, 6 at n = 2).  It
+A batch is laid out samples last: one matmul turns the draw (samples,
+n+1, n) into the rows w = (g_i v_i) of shape (n+1, n, samples), so every
+row and column slice is a contiguous array over the samples.  The n+1
+deleted determinants come from a Laplace expansion on those arrays: the
+minors of the first k+1 columns on every (k+1)-subset of rows, each a
+signed sum of k+1 products of a column entry with a minor of the level
+below, two levels alive at a time (70 multiply-adds per sample at n = 4, 6 at n = 2).  It
 agrees with a LAPACK determinant per submatrix to about 1e-15 of the
 row-norm scale, far inside the 1e-9 ambiguity band, so both give the
 same signs outside the band, the same redraws and the same estimates.
@@ -56,13 +60,11 @@ def _rng(seed: int, chunk_index: int):
 
 def _draw(rng, count: int, n: int, mode: str):
     x = rng.standard_normal((count, n + 1, n))
-    norms = np.linalg.norm(x, axis=2, keepdims=True)
-    # a zero normal draw has probability 0; keep it finite and let the
-    # ambiguity filter below discard the sample
-    norms[norms == 0] = 1.0
-    x /= norms
     if mode == "ball":
-        x *= rng.random((count, n + 1, 1)) ** (1.0 / n)
+        # the radii U^(1/n) cannot change any output (the integrand is
+        # 0-homogeneous); they are drawn, unused, so that the stream stays
+        # where every recorded ball estimate and redraw count put it
+        rng.random((count, n + 1, 1))
     return x
 
 

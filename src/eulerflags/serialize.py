@@ -2,7 +2,7 @@
 
 A loader maps the keys of a document to constructor arguments and checks
 nothing itself: linalg's input rules decide every value, and the tuple
-rule holds the points or flags to the declared n.  A rational
+rule holds the points, flags or g matrices to the declared n.  A rational
 (fr) is a JSON integer or a string "p/q" or "p" (an optional sign and ASCII
 digits; decimal, exponent, underscore and whitespace forms are refused);
 JSON floats, booleans and null are not rationals and raise
@@ -91,8 +91,7 @@ def dump_bundle(bundle):
 def load_gs(doc):
     gs = _check_gs(_get(doc, "gs"))
     n = _integer(_get(doc, "n"), "n")
-    if gs.shape[-1] != n:
-        raise InputError(f"matrix of shape != {n}x{n}")
+    _tuple(gs, "g matrices", n=n)
     return n, gs
 
 

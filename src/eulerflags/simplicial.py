@@ -17,11 +17,12 @@ them and their cleared pairs, and a gauge move composes cleared integers.
 
 The per-simplex evaluation transports all section values to a base vertex
 as the integer vectors G_bj s_j, positive multiples of g_bj s_j that no
-Cramer sign can tell apart, and feeds them, still integers, to the point
-cochains of cocycles: smi (total) or sul_classify (needs a generic
-section), both reading the Cramer signs there; independence of the base
-vertex is re-verified on every simplex, and a closed chain must produce
-an integer in smillie mode.
+Cramer sign can tell apart, and reads their Cramer signs once with
+linalg's kernel: the data were checked when the bundle was built, so the
+point cochains' argument check is not run again.  The value is smi's
+(total) or sul_classify's (needs a generic section), each cochain's rule
+on the same signs; independence of the base vertex is re-verified on every
+simplex, and a closed chain must produce an integer in smillie mode.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from .cocycles import smi, sul_classify
+from .cocycles import _smi_of_signs, _sul_of_signs
 from .linalg import (
     InputError,
     PropertyViolation,
     _clear_matrix,
+    _cramer_signs,
     _echo,
     _integer,
     _inverse,
@@ -233,9 +235,9 @@ class FlatBundleComplex:
 
         Each is G_bj s_j, with s_j = int_vec of the section at vertex j, a
         positive multiple of g_bj times the section value: a positive
-        rescaling of any argument changes no Cramer sign, so smi and
-        sul_classify read the same values from these as from the rational
-        transport."""
+        rescaling of any argument changes no Cramer sign, so the signs that
+        euler_number reads from these, once per simplex and base, are those
+        of the rational transport."""
         vb = verts[base]
         ints = self._ints
         return tuple(ints[vj] if vj == vb else
@@ -246,11 +248,11 @@ class FlatBundleComplex:
 def _simplex_value(bundle: FlatBundleComplex, verts, mode: str) -> Fraction:
     vals = []
     for base in range(len(verts)):
-        vs = bundle.simplex_sections(verts, base)
+        signs = _cramer_signs(bundle.simplex_sections(verts, base))
         if mode == "smillie":
-            vals.append(smi(vs))
+            vals.append(_smi_of_signs(signs))
         else:
-            v, generic = sul_classify(vs)
+            v, generic = _sul_of_signs(signs)
             if not generic:
                 raise NonGenericSection(
                     f"section is not generic on simplex {verts} (base {base})")

@@ -347,6 +347,25 @@ def test_exact_modules_have_no_floats():
     assert found == []
 
 
+@pytest.mark.parametrize("argv", [["witness", "obstruction", "--n", "4"],
+                                  ["eval", "pcoc", "PTS"]],
+                         ids=["large-output", "one-line"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
+    # the read end is closed before the child starts, so its first write or
+    # its flush fails, whether the output fills a buffer or not
+    p = tmp_path / "pts.json"
+    p.write_text(json.dumps(POINTS))
+    argv = [str(p) if a == "PTS" else a for a in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "eulerflags.cli", *argv],
+                           stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert r.returncode == 1 and r.stderr == "", r.stderr
+
+
 def test_module_entry_point(tmp_path):
     p = tmp_path / "pts.json"
     p.write_text(json.dumps(POINTS))

@@ -7,11 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from eulerflags.cocycles import pcoc, smi, sul
+from eulerflags.cocycles import pcoc, smi, sul, sul_classify
 from eulerflags.linalg import (InputError, _cramer_signs,
                                hereditarily_spanning, int_vec, ori)
 from eulerflags.randgen import RationalSampler
-from eulerflags.simplicial import sul_classify
 from eulerflags.verify import smi_enumerated, sul_by_ori
 
 F = Fraction

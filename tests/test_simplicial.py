@@ -9,14 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from eulerflags.cocycles import smi
+from eulerflags import cocycles
+from eulerflags.cocycles import smi, sul_classify
 from eulerflags.linalg import (InputError, _clear_matrix, identity, mat_inv,
                                mat_mul, mat_vec)
 from eulerflags.randgen import RationalSampler
 from eulerflags.serialize import dump_bundle
 from eulerflags.simplicial import (FlatBundleComplex, NonGenericSection,
                                    chain_boundary, euler_number,
-                                   gauge_transform, sul_classify, with_section)
+                                   gauge_transform, with_section)
 from eulerflags.surfaces import (fuchsian_octagon_rep, genus_surface_bundle,
                                  rational_flat_rep)
 
@@ -444,6 +445,30 @@ def test_per_simplex_matches_rational_transport(kind):
                     euler_number(bb, mode)
                 continue
             assert euler_number(bb, mode)[2] == want
+
+
+@pytest.mark.parametrize("kind", ("rational", "fuchsian"))
+def test_euler_number_runs_no_point_check(kind, monkeypatch):
+    # the transported vectors come from a validated bundle, so euler_number
+    # reads their Cramer signs without the point cochains' argument check;
+    # seed 3 gives a section that is not generic in sullivan mode, seed 5
+    # one that both modes certify
+    cases = []
+    for seed in (3, 5):
+        b = _genus2(kind, seed)
+        cases += [(b, mode, _oracle_per_simplex(b, mode))
+                  for mode in ("smillie", "sullivan")]
+    assert [want is None for *_, want in cases] == [False, True, False, False]
+    calls, check = [], cocycles._check_points
+    monkeypatch.setattr(cocycles, "_check_points",
+                        lambda *a, **k: calls.append(a) or check(*a, **k))
+    for b, mode, want in cases:
+        if want is None:
+            with pytest.raises(NonGenericSection):
+                euler_number(b, mode)
+        else:
+            assert euler_number(b, mode)[2] == want
+    assert calls == []
 
 
 def test_simplex_sections_are_positive_multiples():

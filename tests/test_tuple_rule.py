@@ -154,6 +154,8 @@ def test_declared_dimension_messages():
         load_points({"n": 2, "points": [[1, 0, 0]]})
     with pytest.raises(InputError, match="flags of dimension 2, not the declared n=4"):
         load_flags({"n": 4, "flags": [I2]})
+    with pytest.raises(InputError, match="g matrices of dimension 2, not the declared n=4"):
+        load_gs({"n": 4, "gs": [I2] * 3})
     with pytest.raises(InputError, match="section vectors of dimension 3, not the declared n=2"):
         FlatBundleComplex(2, 1, [], {}, [(1, 0, 0)])
     with pytest.raises(InputError, match="section vectors must be nonzero"):
