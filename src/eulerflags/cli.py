@@ -14,6 +14,7 @@ check failed or a verify suite found a counterexample.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -95,8 +96,7 @@ def _cmd_itu(args):
     _, gs = load_gs(load_json(args.gs))
     est = itu_estimate(gs, samples=args.samples, seed=args.seed,
                        mode=args.mode)
-    _emit({"mean": est.mean, "stderr": est.stderr, "samples": est.samples,
-           "seed": est.seed, "mode": est.mode, "resampled": est.resampled})
+    _emit(dataclasses.asdict(est))
     return 0
 
 

@@ -14,7 +14,10 @@ length k.  _minors gives the Cramer signs of a point tuple, the
 adjugate rows of the one cleared inverse, _inverse, the Cramer
 coefficients of frame_transform and the cofactor functional of point
 realization.  Spans go through the incremental integer echelon
-flags._IntSpan, whose rows _primitive divides by their gcd.
+flags._IntSpan, whose rows _primitive divides by their gcd.  A cleared
+matrix is a pair (L, G = L g), read by _glp, multiplied by _pair_mul,
+inverted by _inverse, compared by _close and turned back into Fractions
+by _fractions, here alone: simplicial and surfaces call them.
 
 >>> ori(((1, 0), (0, 1)))
 1
@@ -142,6 +145,21 @@ def _rows(m) -> tuple[tuple, ...]:
     if len(set(map(len, m))) > 1:
         raise InputError("ragged matrix")
     return m
+
+
+def _numeric(xs, what: str):
+    """xs as it is if each entry of its nested lists and tuples is an int or
+    a float, numpy's and arrays of integer or float dtype included; else
+    (a bool, a string, a Fraction...) InputError."""
+    todo = [xs]
+    while todo:
+        x = todo.pop()
+        kind = getattr(getattr(x, "dtype", None), "kind", None)
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif type(x) not in (int, float) and kind not in ("i", "u", "f"):
+            raise InputError(f"{what} entries must be ints or floats, got {_echo.repr(x)}")
+    return xs
 
 
 def mat(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -304,14 +322,28 @@ def _clear_matrix(m):
     return den, tuple(flat[i * k:i * k + k] for i in range(k))
 
 
-def _inverse(den, rows):
-    """_clear_matrix of the inverse of rows / den: den times the integer
-    adjugate (row i is (-1)^i _minors of the rows without column i) over
-    the determinant, all reduced by their gcd.
+def _glp(m, n: int, what: str):
+    """_clear_matrix of an n x n matrix of positive determinant, else InputError."""
+    lg = _clear_matrix(m)
+    if len(lg[1]) != n:
+        raise InputError(f"{what} is not {n}x{n}")
+    if _det_int(lg[1]) <= 0:
+        raise InputError(f"{what} must have positive determinant")
+    return lg
 
-    >>> _inverse(2, ((2, 0), (0, 4)))
+
+def _inverse(p):
+    """The pair (L, G) of the inverse of the pair p = (den, rows), the
+    matrix rows / den for a nonzero den of either sign: den times the
+    integer adjugate (row i is (-1)^i _minors of the rows without column i)
+    over the determinant, all reduced by their gcd.
+
+    >>> _inverse((2, ((2, 0), (0, 4))))
     (2, ((2, 0), (0, 1)))
+    >>> _inverse((-2, ((2, 0), (0, 4))))
+    (2, ((-2, 0), (0, -1)))
     """
+    den, rows = p
     d = _det_int(rows)
     if d == 0:
         raise InputError("singular matrix has no inverse")
@@ -320,6 +352,31 @@ def _inverse(den, rows):
            for i in range(len(rows))]
     g = math.gcd(d, *itertools.chain(*adj))
     return abs(d) // g, tuple(tuple(x // g for x in r) for r in adj)
+
+
+def _pair_mul(p, q):
+    """The pair of the product of the pairs p and q: (L_p L_q, G_p G_q)."""
+    return p[0] * q[0], _mat_mul(p[1], q[1])
+
+
+def _fractions(p):
+    """The Fraction matrix G / L of the pair p = (L, G)."""
+    return tuple(tuple(Fraction(x, p[0]) for x in r) for r in p[1])
+
+
+def _close(p, q, tol) -> bool:
+    """Whether the pairs p = (da, a), q = (db, b) (positive denominators)
+    are close at the rational tol = t/u: |x/da - y/db| <= tol * scale for
+    every entry, scale the largest of 1 and all |entries|; times u*da*db,
+    u*|x*db - y*da| <= t*max(da*db, max|x|*db, max|y|*da)."""
+    (da, a), (db, b) = p, q
+    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    if not tol:
+        return all(x * db == y * da for x, y in pairs)
+    t, u = tol.numerator, tol.denominator
+    bound = t * max(da * db, max(abs(x) for x, _ in pairs) * db,
+                    max(abs(y) for _, y in pairs) * da)
+    return all(u * abs(x * db - y * da) <= bound for x, y in pairs)
 
 
 def det(m) -> Fraction:
@@ -395,8 +452,7 @@ def mat_inv(m):
     >>> mat_inv(((2, 1), (1, 1)))
     ((Fraction(1, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(2, 1)))
     """
-    den, rows = _inverse(*_clear_matrix(m))
-    return tuple(tuple(Fraction(x, den) for x in r) for r in rows)
+    return _fractions(_inverse(_clear_matrix(m)))
 
 
 def hereditarily_spanning(xs) -> bool:
@@ -416,17 +472,17 @@ def frame_transform(xs):
     >>> g
     ((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 2), Fraction(1, 2)))
     """
-    xs, n = _tuple([vec(v) for v in _seq(xs, "vectors")], "vectors", extra=1)
-    den, rows = _clear_matrix(xs[1:])
+    xs = _tuple([vec(v) for v in _seq(xs, "vectors")], "vectors", extra=1)[0]
+    rows = _clear_matrix(xs[1:])[1]
     l0, r0 = _clear(xs[0])
     # the kernel vector of (x_0, x_1, ..., x_n): sum_i lam_i rows_i = 0, so
-    # sum_i c_i x_i = x_0 with c_i = -lam_{i+1} L / (lam_0 L_0), all nonzero
+    # sum_i c_i x_i = x_0 with c_i = -lam_{i+1} L / (lam_0 L_0), all nonzero;
+    # g inverts the pair (lam_0 L_0, columns -lam_{i+1} rows_i) of c_i x_{i+1}
     lam = _minors((r0,) + rows)
     if not all(lam):
         raise InputError("not hereditarily spanning: a signed minor of x_0..x_n is zero")
-    cs = [Fraction(-lam[i + 1] * den, lam[0] * l0) for i in range(n)]
-    m = tuple(zip(*[tuple(c * x for x in col) for c, col in zip(cs, xs[1:])]))
-    return mat_inv(m)
+    cols = [[-l * x for x in r] for l, r in zip(lam[1:], rows)]
+    return _fractions(_inverse((lam[0] * l0, tuple(zip(*cols)))))
 
 
 def e0(n):

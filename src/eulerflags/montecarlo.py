@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import InputError, _integer, require_even
+from .linalg import InputError, _integer, _numeric, require_even
 
 CHUNK = 1 << 14
 DET_RTOL = 1e-9
@@ -116,9 +116,10 @@ def _integrand(w, mode: str, n: int):
 
 
 def _check_gs(gs):
+    gs = _numeric(gs, "g-tuple")
     try:
         arr = np.asarray(gs, dtype=float)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):  # ragged, or an int past float range
         raise InputError("g-tuple is not a rectangular numeric array") from None
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] != arr.shape[1] + 1:
         raise InputError(f"need n+1 matrices of shape n x n, got shape {arr.shape}")

@@ -14,16 +14,18 @@ Flag tuples:    { "n": int, "flags": [[[rational, ...], ...], ...] }
 Bundles:        { "n", "vertices": int, "simplices": [{"v": [int, ...], "c": int}],
                   "transitions": [{"i": int, "j": int, "g": [[...], ...]}],
                   "section": [[...], ...], "tol": rational (optional) }
-Matrix tuples:  { "n": int, "gs": [[[number, ...], ...], ...] }  (floats ok)
+Matrix tuples:  { "n": int, "gs": [[[number, ...], ...], ...] }  (ints or floats)
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 from .flags import _flags, make_flag
 from .linalg import InputError, _integer, _seq, _tuple, fr, vec
 from .montecarlo import _check_gs
+from .simplicial import FlatBundleComplex
 
 
 def fmt_rational(x) -> str:
@@ -63,8 +65,6 @@ def dump_flags(n, flags):
 
 
 def load_bundle(doc):
-    from .simplicial import FlatBundleComplex
-
     simplices = [(_get(s, "v"), _get(s, "c"))
                  for s in _seq(_get(doc, "simplices"), "simplices")]
     transitions = [((_get(t, "i"), _get(t, "j")), _get(t, "g"))
@@ -98,8 +98,6 @@ def load_gs(doc):
 def load_json(path: str):
     try:
         if path == "-":
-            import sys
-
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)

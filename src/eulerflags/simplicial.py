@@ -7,22 +7,16 @@ validated exactly.  A section assigns a nonzero vector to each vertex in the
 vertex's own trivialization.  Vertex counts and indices, transition keys
 and chain coefficients must be integers.
 
-Everything after construction runs on integers cleared once by linalg's
-clearing rule: each stored transition, on first use, as (L_ij, G_ij =
-L_ij g_ij) with L_ij the positive lcm of its denominators, a direction
-stored only as its reverse as the _inverse of the stored pair, and each
-section vector as its int_vec.  The read-only transitions are validated
-once, each distinct face of the complex once; a section change shares
-them and their cleared pairs, and a gauge move composes cleared integers.
+Everything after construction runs on linalg's cleared pairs: validate
+reads each stored transition by _glp as (L_ij, G_ij = L_ij g_ij), once; a
+direction stored only as its reverse is the _inverse of that pair; each
+section vector is its int_vec.  A section change shares the pairs, and a
+gauge move composes them by _pair_mul.
 
-The per-simplex evaluation transports all section values to a base vertex
-as the integer vectors G_bj s_j, positive multiples of g_bj s_j that no
-Cramer sign can tell apart, and reads their Cramer signs once with
-linalg's kernel: the data were checked when the bundle was built, so the
-point cochains' argument check is not run again.  The value is smi's
-(total) or sul_classify's (needs a generic section), each cochain's rule
-on the same signs; independence of the base vertex is re-verified on every
-simplex, and a closed chain must produce an integer in smillie mode.
+Each simplex is evaluated at every base vertex b on the Cramer signs of
+the transported integer vectors G_bj s_j (simplex_sections), by smi's rule
+(total) or sul_classify's (needs a generic section), with no second point
+check; the values must agree, and a closed chain must give an integer.
 """
 
 from __future__ import annotations
@@ -38,15 +32,17 @@ from .linalg import (
     InputError,
     PropertyViolation,
     _clear_matrix,
+    _close,
     _cramer_signs,
     _echo,
+    _fractions,
+    _glp,
     _integer,
     _inverse,
-    _mat_mul,
     _mat_vec,
+    _pair_mul,
     _seq,
     _tuple,
-    det_sign_int,
     fr,
     identity,
     int_vec,
@@ -102,21 +98,6 @@ def _boundary(chain) -> dict:
     return out
 
 
-def _close(a, da, b, db, tol):
-    """Integer form of validate's closeness test for the rationals a/da and
-    b/db (integer matrices, positive denominators) at tol = p/q: every entry
-    must satisfy |x/da - y/db| <= tol * scale, scale being the largest of 1
-    and all entries' absolute values; multiplied through by q*da*db that is
-    q*|x*db - y*da| <= p*max(da*db, max|x|*db, max|y|*da)."""
-    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
-    if not tol:
-        return all(x * db == y * da for x, y in pairs)
-    p, q = tol.numerator, tol.denominator
-    bound = p * max(da * db, max(abs(x) for x, _ in pairs) * db,
-                    max(abs(y) for _, y in pairs) * da)
-    return all(q * abs(x * db - y * da) <= bound for x, y in pairs)
-
-
 class FlatBundleComplex:
     """n: even rank; vertices: count; simplices: [(vertex tuple, coeff)];
     transitions: {(i, j): matrix} or ((i, j), matrix) pairs, each (i, j)
@@ -160,18 +141,13 @@ class FlatBundleComplex:
         self._ints = tuple(int_vec(s) for s in section)
 
     def _pair(self, i: int, j: int):
-        """(L_ij, G_ij = L_ij g_ij) for i != j, cleared on first use; a
-        direction stored only as its reverse is the _inverse of the stored
-        pair."""
+        """(L_ij, G_ij = L_ij g_ij), or on first use for a direction stored
+        only as its reverse the _inverse of that pair."""
         lg = self._pairs.get((i, j))
         if lg is None:
-            if (i, j) in self.transitions:
-                lg = _clear_matrix(self.transitions[(i, j)])
-            elif (j, i) in self.transitions:
-                lg = _inverse(*self._pair(j, i))
-            else:
+            if (j, i) not in self.transitions:
                 raise InputError(f"no transition for vertex pair ({i}, {j})")
-            self._pairs[(i, j)] = lg
+            lg = self._pairs[(i, j)] = _inverse(self._pairs[(j, i)])
         return lg
 
     def validate(self):
@@ -181,29 +157,20 @@ class FlatBundleComplex:
         approximates a flat structure (e.g. floating-point holonomies,
         stored as exact dyadic rationals).  Everything else stays exact.
 
-        Each distinct edge and triangle of the complex is checked once, on
-        the cleared integer transitions.  On exact data one inverse pair per
-        unordered edge {a, b}, G_ab G_ba = L_ab L_ba Id, and one cocycle rule
-        per sorted triangle a < b < c, L_ac G_ab G_bc = L_ab L_bc G_ac, imply
-        the identities for every ordering.  On tolerant data those
-        derivations would accumulate defects, so every ordered pair and
-        every ordered triple is checked, each once, by _close: the integer
-        form of the relative bound, which accepts exactly what the bound on
-        the rational matrices accepts."""
+        Each distinct edge and triangle is checked once, by linalg._close
+        on the cleared pairs.  On exact data g_ab g_ba = Id per edge a < b
+        and g_ab g_bc = g_ac per triangle a < b < c imply every ordering; on
+        tolerant data, where defects would accumulate, every ordered pair
+        and triple is checked."""
         tol, n = self.tol, self.n
+        ident = _clear_matrix(identity(n))
         for (i, j), g in self.transitions.items():
             if not (0 <= i < self.vertices and 0 <= j < self.vertices):
                 raise InputError(f"transition pair ({i}, {j}) out of range")
-            if len(g) != n or any(len(r) != n for r in g):
-                raise InputError(f"transition ({i}, {j}) is not {n}x{n}")
-            if i == j:
-                if g != identity(n):
-                    raise InputError(f"transition ({i}, {i}) must be the identity")
-            elif det_sign_int(self._pair(i, j)[1]) != 1:
-                raise InputError(f"transition ({i}, {j}) must have positive determinant")
-        ident = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-        pair = self._pair
-        edges, triangles = set(), set()
+            lg = self._pairs[(i, j)] = _glp(g, n, f"transition ({i}, {j})")
+            if i == j and lg != ident:
+                raise InputError(f"transition ({i}, {i}) must be the identity")
+        pair, edges, triangles = self._pair, set(), set()
         for verts, _ in self.simplices:
             if len(verts) != n + 1:
                 raise InputError(f"simplex {verts} is not an n-simplex (n={n})")
@@ -215,17 +182,14 @@ class FlatBundleComplex:
                     continue
                 edges.add(e)
                 for a, b in (e,) if not tol else (e, e[::-1]):
-                    (lab, gab), (lba, gba) = pair(a, b), pair(b, a)
-                    if not _close(_mat_mul(gab, gba), lab * lba, ident, 1, tol):
+                    if not _close(_pair_mul(pair(a, b), pair(b, a)), ident, tol):
                         raise InputError(f"transitions ({a},{b}) and ({b},{a}) are not inverse")
             for t in itertools.combinations(face, 3):
                 if t in triangles:
                     continue
                 triangles.add(t)
                 for a, b, c in (t,) if not tol else itertools.permutations(t):
-                    (lab, gab), (lbc, gbc) = pair(a, b), pair(b, c)
-                    lac, gac = pair(a, c)
-                    if not _close(_mat_mul(gab, gbc), lab * lbc, gac, lac, tol):
+                    if not _close(_pair_mul(pair(a, b), pair(b, c)), pair(a, c), tol):
                         raise InputError(
                             f"cocycle rule fails on ({a},{b},{c}) within simplex {verts}")
 
@@ -305,24 +269,17 @@ def euler_number(bundle: FlatBundleComplex, mode: str = "smillie"):
 
 
 def gauge_transform(bundle: FlatBundleComplex, hs) -> FlatBundleComplex:
-    """Compose every trivialization with h_x: s'_x = h_x s_x and g'_xy =
-    h_x g_xy h_y^(-1) = H_x G_xy K_y / (l_x L_xy l'_y), for (l_x, H_x) = h_x
-    cleared and (l'_y, K_y) its _inverse.  Per-simplex values are unchanged;
+    """Compose every trivialization with h_x (read by _glp): s'_x = h_x s_x
+    and g'_xy = h_x g_xy h_y^(-1).  Per-simplex values are unchanged;
     relative defects are not, so the result is validated at the bundle's tol."""
     n = _check_bundle(bundle).n
-    hs = [_clear_matrix(h) for h in _seq(hs, "gauge matrices")]
+    hs = [_glp(h, n, "gauge matrix") for h in _seq(hs, "gauge matrices")]
     if len(hs) != bundle.vertices:
         raise InputError("need one gauge matrix per vertex")
-    if any(len(h) != n or det_sign_int(h) != 1 for _, h in hs):
-        raise InputError(f"gauge matrices must be {n}x{n} with positive determinant")
-    invs = [_inverse(*h) for h in hs]
-    transitions = {}
-    for x, y in bundle.transitions:
-        (lx, hx), (lg, g), (ly, ky) = hs[x], bundle._pair(x, y), invs[y]
-        transitions[(x, y)] = tuple(tuple(Fraction(v, lx * lg * ly) for v in r)
-                                    for r in _mat_mul(_mat_mul(hx, g), ky))
-    section = [tuple(v / l for v in _mat_vec(h, s))
-               for (l, h), s in zip(hs, bundle.section)]
+    invs = [_inverse(h) for h in hs]
+    transitions = {(x, y): _fractions(_pair_mul(_pair_mul(hs[x], bundle._pair(x, y)), invs[y]))
+                   for x, y in bundle.transitions}
+    section = [_mat_vec(_fractions(h), s) for h, s in zip(hs, bundle.section)]
     return FlatBundleComplex(n, bundle.vertices, bundle.simplices,
                              transitions, section, tol=bundle.tol)
 

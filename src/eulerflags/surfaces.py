@@ -20,14 +20,13 @@ closure word reduces to the surface relator [a_1,b_1]...[a_g,b_g], so the
 transition collisions between neighbouring triangles cancel exactly whenever
 rho satisfies the relator; the builder checks every collision.
 
-Integers.  Each letter is cleared once by linalg's rule to (L, G = L A),
+Integers.  Each letter is read once by linalg._glp to the pair (L, G = L A),
 float entries (hyperbolic holonomies) first read as exact dyadic rationals,
 the one exception to linalg.fr; its inverse is linalg._inverse of that pair.
-rho of a freely reduced word is the product of its cleared letters, once per
-word.  The relator and every collision are judged by simplicial._close, the
-rule validate applies: exact at tol = 0 (rational data), else within the
-relative tol on a scale covering both matrices.  Each distinct word becomes
-one Fraction matrix, shared by the pairs that use it.
+rho of a freely reduced word is the _pair_mul product of its letters, once
+per word.  The relator and every collision are judged by linalg._close, the
+rule validate applies (exact at tol = 0).  Each distinct word becomes one
+Fraction matrix, its _fractions, shared by the pairs that use it.
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import (InputError, PropertyViolation, _clear_matrix, _inverse,
-                     _mat_mul, _seq, det_sign_int, fr)
+from .linalg import (InputError, PropertyViolation, _clear_matrix, _close,
+                     _fractions, _glp, _inverse, _pair_mul, _seq, fr, identity)
 from .randgen import RationalSampler
-from .simplicial import FlatBundleComplex, _close
+from .simplicial import FlatBundleComplex
 
 # pairing exponents, calibrated so the corner-walk closure word IS the
 # relator (the only surviving choice; see test suite)
@@ -104,15 +103,11 @@ def _corner_walk(g):
 
 
 def _to_matrix(m):
-    """(L, G) of a representation matrix, cleared by linalg's rule; finite
-    float entries are read as exact dyadic rationals first, and every other
-    entry (NaN and infinities included) is left to linalg.fr."""
+    """_glp of a representation matrix, finite float entries read as exact
+    dyadic rationals first; every other entry (NaN, inf) goes to linalg.fr."""
     rows = [[Fraction(x) if isinstance(x, float) and math.isfinite(x) else x
-             for x in _seq(row, "matrix row", 2)] for row in _seq(m, "matrix", 2)]
-    lg = _clear_matrix(rows)
-    if det_sign_int(lg[1]) <= 0:
-        raise InputError("representation matrices need positive determinant")
-    return lg
+             for x in _seq(row, "matrix row")] for row in _seq(m, "matrix")]
+    return _glp(rows, 2, "representation matrix")
 
 
 def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
@@ -133,22 +128,20 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
     N = 4 * g
     tol = fr(tol)
 
-    letters = {(l, e): lg if e == 1 else _inverse(*lg)
+    letters = {(l, e): lg if e == 1 else _inverse(lg)
                for l, lg in enumerate(rep) for e in (1, -1)}
-    ident = ((1, 0), (0, 1))
-    cleared = {(): (1, ident)}
+    ident = _clear_matrix(identity(2))
+    cleared = {(): ident}
 
     def rho(word):
         """(L, G) of a freely reduced word, extending its longest memoized prefix."""
         i = next(i for i in range(len(word), -1, -1) if word[:i] in cleared)
         for j in range(i, len(word)):
-            (l1, g1), (l2, g2) = cleared[word[:j]], letters[word[j]]
-            cleared[word[:j + 1]] = l1 * l2, _mat_mul(g1, g2)
+            cleared[word[:j + 1]] = _pair_mul(cleared[word[:j]], letters[word[j]])
         return cleared[word]
 
     cdeltas, closure = _corner_walk(g)
-    l, m = rho(closure)
-    if not _close(m, l, ident, 1, tol):
+    if not _close(rho(closure), ident, tol):
         raise InputError("representation does not satisfy the surface "
                          "relator (within tol)" if tol else
                          "representation does not satisfy the surface relator")
@@ -189,19 +182,13 @@ def genus_surface_bundle(rep, section=None, seed: int = 0, tol=0):
             for (ci, wi), (cj, wj) in itertools.permutations(tri, 2):
                 word = _wreduce(wi + _winv(wj))
                 old = words.setdefault((ci, cj), word)
-                if old != word:
-                    (la, ga), (lb, gb) = rho(old), rho(word)
-                    if not _close(ga, la, gb, lb, tol):
-                        raise PropertyViolation(
-                            f"inconsistent transition for vertex pair ({ci}, {cj})")
+                if old != word and not _close(rho(old), rho(word), tol):
+                    raise PropertyViolation(
+                        f"inconsistent transition for vertex pair ({ci}, {cj})")
             simplices.append((classes, 1))
 
     # one Fraction matrix per distinct word, shared by its pairs
-    fractions = {}
-    for word in words.values():
-        if word not in fractions:
-            l, m = rho(word)
-            fractions[word] = tuple(tuple(Fraction(x, l) for x in r) for r in m)
+    fractions = {w: _fractions(rho(w)) for w in dict.fromkeys(words.values())}
     transitions = {pair: fractions[word] for pair, word in words.items()}
 
     if section is None:

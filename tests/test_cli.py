@@ -169,6 +169,9 @@ MALFORMED = [
     ("realize", ["n"], 2.0), ("realize", ["flags"], [5, 5, 5, 5]),
     ("itu", ["gs", 0], [[1, 0], [0, "a"]]), ("itu", ["gs"], 5),
     ("itu", ["gs", 0], [[None, 0], [0, 1]]), ("itu", ["n"], 2.0),
+    ("itu", ["gs", 0], [["1", "0"], ["0", "1"]]),
+    ("itu", ["gs", 0], [["1_0", 0], [0, 1]]),
+    ("itu", ["gs", 0], [[True, False], [False, True]]),
 ]
 
 
@@ -321,6 +324,43 @@ def test_only_linalg_inverts():
                     or (isinstance(node, ast.alias) and node.name == "mat_inv")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_linalg_handles_cleared_pairs():
+    # cleared pairs (L, G) are read, multiplied and compared in linalg
+    # alone: no other module defines a closeness rule or a matrix product,
+    # names the integer product _mat_mul, or takes _close from anywhere but
+    # linalg; and only linalg._glp says "must have positive determinant"
+    pkg = Path(eulerflags.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        glp = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_glp"]
+        for node in ast.walk(tree):
+            if path.name != "linalg.py" and (
+                    (isinstance(node, ast.FunctionDef)
+                     and node.name in ("_close", "_mat_mul"))
+                    or (isinstance(node, ast.Name) and node.id == "_mat_mul")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_mat_mul")
+                    or (isinstance(node, ast.alias) and node.name == "_mat_mul")
+                    or (isinstance(node, ast.ImportFrom) and node.module != "linalg"
+                        and any(a.name == "_close" for a in node.names))):
+                found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "must have positive determinant" in node.value
+                    and not (path.name == "linalg.py" and glp
+                             and glp[0].lineno <= node.lineno <= glp[0].end_lineno)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_itu_output_is_the_estimate_record(tmp_path, capsys):
+    p = tmp_path / "gs.json"
+    p.write_text(json.dumps(GS))
+    rc, out = _run(capsys, ["itu", "--gs", str(p), "--samples", "10"])
+    assert rc == 0 and list(json.loads(out)) == ["mean", "stderr", "samples",
+                                                 "seed", "mode", "resampled"]
 
 
 def test_exact_modules_have_no_floats():

@@ -410,3 +410,66 @@ def test_refused_value_is_echoed_bounded(rule, value, message):
     with pytest.raises(InputError) as info:
         rule(value)
     assert str(info.value).startswith(message) and len(str(info.value)) < 200
+
+
+def _random_pair(rng, k, den_sign=1):
+    """A cleared pair (L, G) of a random k x k rational matrix, L of the
+    given sign."""
+    m = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)] for _ in range(k)]
+    den, rows = linalg._clear_matrix(m)
+    return den_sign * den, rows if den_sign > 0 else tuple(
+        tuple(-x for x in r) for r in rows)
+
+
+def test_pair_algebra_matches_fractions():
+    rng = random.Random(2811)
+    inverted = 0
+    for trial in range(300):
+        k = 2 + trial % 3
+        p, q = _random_pair(rng, k), _random_pair(rng, k, rng.choice((1, -1)))
+        assert linalg._fractions(linalg._pair_mul(p, q)) == linalg.mat_mul(
+            linalg._fractions(p), linalg._fractions(q))
+        if det(linalg._fractions(q)) != 0:
+            inverted += 1
+            assert linalg._fractions(linalg._inverse(q)) == linalg.mat_inv(
+                linalg._fractions(q))
+            assert linalg._inverse(q)[0] > 0
+    assert inverted > 250
+
+
+def _close_oracle(p, q, tol):
+    # the relative bound on the rational matrices themselves
+    a, b = linalg._fractions(p), linalg._fractions(q)
+    scale = max([F(1)] + [abs(x) for r in a + b for x in r])
+    return all(abs(x - y) <= tol * scale for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def test_close_is_the_rational_bound():
+    rng = random.Random(2812)
+    outcomes = set()
+    for trial in range(200):
+        k = 2 + trial % 3
+        p = _random_pair(rng, k)
+        # tol = 0: equality of the rational matrices, whatever the denominators
+        c = rng.randint(1, 5)
+        same = (c * p[0], tuple(tuple(c * x for x in r) for r in p[1]))
+        assert linalg._close(p, same, F(0)) and _close_oracle(p, same, F(0))
+        q = _random_pair(rng, k)
+        assert linalg._close(p, q, F(0)) == (linalg._fractions(p) == linalg._fractions(q))
+        # tol > 0 set exactly at the bound of q's (i, j) entry moved by d,
+        # then that entry at the bound - 1, the bound and the bound + 1
+        db, b = c * p[0], [[c * x for x in r] for r in p[1]]
+        i, j, d = rng.randrange(k), rng.randrange(k), rng.randint(1, 40)
+        b[i][j] += d
+        q = (db, tuple(map(tuple, b)))
+        scale = max([F(1)] + [abs(x) for r in linalg._fractions(p) + linalg._fractions(q)
+                              for x in r])
+        tol = F(d, db) / scale
+        assert _close_oracle(p, q, tol)
+        for step in (-1, 0, 1):
+            b[i][j] = c * p[1][i][j] + d + step
+            q = (db, tuple(map(tuple, b)))
+            want = _close_oracle(p, q, tol)
+            assert linalg._close(p, q, tol) == want
+            outcomes.add((step, want))
+    assert {(-1, True), (0, True), (1, False)} <= outcomes

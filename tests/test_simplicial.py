@@ -246,6 +246,20 @@ def test_gauge_and_section_invariance():
     assert euler_number(with_section(b, _sections(4, seed=9)))[1] == 0
 
 
+def test_stored_identities_survive_a_gauge_move():
+    # (i, i) identities may be stored like any other transition; a gauge
+    # move maps each to h_i h_i^-1 = Id, and the Euler number stays
+    s = RationalSampler(17, m=9)
+    for kind, e in (("rational", 0), ("fuchsian", 1)):
+        full = _genus2(kind, 0)
+        ts = {**full.transitions, **{(i, i): I2 for i in range(full.vertices)}}
+        b = FlatBundleComplex(2, full.vertices, full.simplices, ts,
+                              full.section, tol=full.tol)
+        moved = gauge_transform(b, [s.glp_matrix(2) for _ in range(b.vertices)])
+        assert all(moved.transitions[(i, i)] == I2 for i in range(b.vertices))
+        assert euler_number(moved)[1] == euler_number(b)[1] == e
+
+
 def test_rank4_boundary_of_5_simplex():
     # the boundary of the 5-simplex, six 4-simplices with signs (-1)^i: a
     # closed chain whose 4-simplices share triangles, so validate checks

@@ -16,6 +16,7 @@ from eulerflags.flags import (bracket, bracket_selections, flag_equal_unoriented
 from eulerflags.linalg import (InputError, _tuple, det, e0, frame_transform,
                                hereditarily_spanning, identity, mat_mul, mat_vec,
                                ori, sig)
+from eulerflags.montecarlo import itu_estimate
 from eulerflags.randgen import RationalSampler
 from eulerflags.serialize import load_flags, load_gs, load_points
 from eulerflags.simplicial import (FlatBundleComplex, chain_boundary, euler_number,
@@ -95,6 +96,15 @@ MALFORMED = {
     "load_flags(no flags)": lambda: load_flags({"n": 2, "flags": []}),
     "load_flags(dimension 2, n=4)": lambda: load_flags({"n": 4, "flags": [I2]}),
     "load_gs(2x2, n=4)": lambda: load_gs({"n": 4, "gs": [I2] * 3}),
+    # Monte Carlo matrix tuples: ints and floats only
+    "itu_estimate(string entries)":
+        lambda: itu_estimate([[["1", "0"], ["0", "1"]]] * 3, 100),
+    "itu_estimate(underscore string entry)":
+        lambda: itu_estimate([[["1_0", "0"], ["0", "1"]]] * 3, 100),
+    "itu_estimate(bool entries)":
+        lambda: itu_estimate([[[True, False], [False, True]]] * 3, 100),
+    "itu_estimate(int past float range)":
+        lambda: itu_estimate([[[10 ** 400, 0], [0, 1]]] * 3, 100),
 }
 
 
