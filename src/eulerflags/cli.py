@@ -44,9 +44,11 @@ def _emit(doc):
 
 
 def _cmd_eval(args):
-    doc = load_json(args.input)
     kind = args.kind
     base = kind[1:] if kind.startswith("d") else kind
+    if args.mode is not None and base != "coc":
+        raise InputError(f"--mode applies only to coc and dcoc, not {kind}")
+    doc = load_json(args.input)
     if base in _POINT_KINDS:
         f = _POINT_KINDS[base]
         _, xs = load_points(doc)
@@ -54,7 +56,7 @@ def _cmd_eval(args):
         f = _FLAG_KINDS[base]
         _, xs = load_flags(doc)
     if base == "coc":
-        f = lambda t: coc(t, mode=args.mode)
+        f = lambda t: coc(t, mode=args.mode or "factorized")
     value = coboundary(f, xs) if kind.startswith("d") else f(xs)
     print(fmt_rational(value))
     return 0
@@ -116,7 +118,7 @@ def _build_parser() -> _Parser:
                    + ["dpcoc", "dsul", "dcoco", "dcoc"])
     q.add_argument("input", help="points/flags JSON file, or - for stdin")
     q.add_argument("--mode", choices=["factorized", "naive"],
-                   default="factorized", help="coc evaluation mode")
+                   help="coc and dcoc evaluation mode (default factorized)")
     q.set_defaults(func=_cmd_eval)
 
     q = sub.add_parser("witness", help="explicit witness constructions")

@@ -14,7 +14,11 @@ The naive mode is that average as defined: _flipped_bracket_table signs each
 deleted-index bracket on its own flipped vectors for every flip pattern of
 its n flags, and one np.einsum contraction, one axis of 2^n flip patterns
 per flag, sums the product of the n + 1 tables over all 2^(n(n+1))
-combinations.  It is the oracle the factorized mode is tested against.
+combinations.  The table's walk is depth-first over the flag slots: each
+node selects its slot's vector for all 2^n patterns of the slot's bits at
+once, and the last slot's patterns each take their own det_sign_int on a
+fresh row list, stored into a plain list that becomes int8 once at the
+end.  It is the oracle the factorized mode is tested against.
 
 pcoc, sul_classify, sul and smi all read the Cramer signs
 s_i = (-1)^i ori(x minus i) of the tuple: the signs of linalg's signed
@@ -172,33 +176,43 @@ def _flipped_bracket_table(bases, n) -> np.ndarray:
     slot's primitive integer level vectors, and pattern bit a*n + l negates
     level l of slot a.  Every pattern selects on its own flipped vectors and
     takes its own det_sign_int, but the walk is depth-first: the span after
-    slots 0..a-1 is built once per prefix of their bits, and at each node
-    each signed vector's membership is tested once, on that vector."""
-    table = np.empty(1 << (n * n), dtype=np.int8)
+    slots 0..a-1 is built once per prefix of their bits, and each node works
+    out its slot's selected vector for all 2^n patterns at once, testing
+    each signed vector's membership once, on that vector.  The signs go
+    into a plain list, turned into int8 once at the end."""
+    table = [0] * (1 << (n * n))
     signed = [[(iv, tuple(-x for x in iv)) for iv in base] for base in bases]
     _flip_walk(table, signed, 0, _IntSpan(), [], 0)
-    return table
+    return np.array(table, dtype=np.int8)
+
+
+def _selected(pairs, span) -> list:
+    """The vector each of the 2^n flip patterns of one slot selects off
+    span: the lowest level whose signed vector (pattern bit l set negates
+    level l) is not in span.  Built level by level, the list indexed by the
+    pattern's bits below the level; a level's two signed vectors are tested
+    only while some pattern is still unselected."""
+    sel = [None]
+    for pair in pairs:
+        if all(sel):
+            break
+        out0, out1 = (None if span.contains_int(v) else v for v in pair)
+        sel = [v or out0 for v in sel] + [v or out1 for v in sel]
+    if not all(sel):
+        raise PropertyViolation("a complete flag always extends a proper subspace")
+    return sel * ((1 << len(pairs)) // len(sel))
 
 
 def _flip_walk(table, signed, a, span, chosen, prefix):
     """Fill table below the node where slots 0..a-1, flipped by prefix, chose chosen."""
     n = len(signed)
-    inside = {}  # (level, sign bit) -> the signed vector is in span
-    for bits in range(1 << n):
-        for l, pair in enumerate(signed[a]):
-            s = (bits >> l) & 1
-            v = pair[s]
-            if (l, s) not in inside:
-                inside[l, s] = span.contains_int(v)
-            if not inside[l, s]:
-                break
-        else:
-            raise PropertyViolation("a complete flag always extends a proper subspace")
-        pattern = prefix | bits << (a * n)
-        if a == n - 1:
-            table[pattern] = det_sign_int(chosen + [v])
-        else:
-            _flip_walk(table, signed, a + 1, span.extended(v), chosen + [v], pattern)
+    sel = _selected(signed[a], span)
+    if a == n - 1:  # this slot's patterns sit at prefix + bits << (a*n)
+        table[prefix::1 << (a * n)] = [det_sign_int(chosen + [v]) for v in sel]
+    else:
+        for bits, v in enumerate(sel):
+            _flip_walk(table, signed, a + 1, span.extended(v), chosen + [v],
+                       prefix | bits << (a * n))
 
 
 def _coc_naive(Fs, n) -> Fraction:

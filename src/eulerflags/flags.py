@@ -42,8 +42,9 @@ from .linalg import (
 )
 
 
-def _reduce_int(v: list[int], rows) -> list[int]:
-    # rows: [(pivot, primitive int row)] sorted by pivot; zeroes v at all pivots
+def _reduce_int(v, rows):
+    # rows: [(pivot, primitive int row)] sorted by pivot; zeroes v at all
+    # pivots.  v is only rebound, never written, so callers pass it as is
     for p, r in rows:
         if v[p]:
             vp, rp = v[p], r[p]
@@ -67,10 +68,10 @@ class _IntSpan:
         self.rows = list(rows)
 
     def contains_int(self, iv) -> bool:
-        return not any(_reduce_int(list(iv), self.rows))
+        return not any(_reduce_int(iv, self.rows))
 
     def extended(self, iv) -> "_IntSpan":
-        red = _reduce_int(list(iv), self.rows)
+        red = _reduce_int(iv, self.rows)
         p = _pivot(red)
         if p < 0:
             raise PropertyViolation("vector already in span")

@@ -191,6 +191,40 @@ def test_malformed_input_is_one_error_line(capsys, monkeypatch, command, path,
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+# malformed calls on well-formed input: --mode means something only to coc
+# and dcoc, and every other kind refuses it, either mode
+_POINTS4 = {"n": 2, "points": POINTS["points"] + [["2", "-1"]]}
+_EVAL_DOCS = {"pcoc": POINTS, "sul": POINTS, "smi": POINTS, "dpcoc": _POINTS4,
+              "dsul": _POINTS4, "coco": {"n": 2, "flags": FLAGS4["flags"][:3]},
+              "dcoco": FLAGS4}
+MALFORMED_ARGV = [(kind, ["eval", kind, "-", "--mode", mode])
+                  for kind in _EVAL_DOCS for mode in ("naive", "factorized")]
+
+
+@pytest.mark.parametrize("kind, argv", MALFORMED_ARGV,
+                         ids=[" ".join(argv) for _, argv in MALFORMED_ARGV])
+def test_malformed_call_is_one_error_line(capsys, monkeypatch, kind, argv):
+    rc, out = _run(capsys, argv[:3], _EVAL_DOCS[kind], monkeypatch)
+    assert rc == 0 and out  # the input is fine without the option
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_EVAL_DOCS[kind])))
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"error: --mode applies only to coc and dcoc, not {kind}\n"
+
+
+def test_eval_coc_mode_defaults_to_factorized(capsys, monkeypatch):
+    modes = []
+    coc = cli.coc
+    monkeypatch.setattr(cli, "coc", lambda Fs, mode: modes.append(mode) or coc(Fs, mode=mode))
+    for kind, doc in (("coc", _EVAL_DOCS["coco"]), ("dcoc", _EVAL_DOCS["dcoco"])):
+        for mode in ([], ["--mode", "naive"]):
+            rc, out = _run(capsys, ["eval", kind, "-"] + mode, doc, monkeypatch)
+            assert rc == 0 and out.strip() in ("-1", "0", "1")
+    # dcoc evaluates coc on each of its n + 2 = 4 faces
+    assert modes == ["factorized", "naive"] + ["factorized"] * 4 + ["naive"] * 4
+
+
 def test_huge_malformed_rational_is_one_short_error_line():
     # a 1 MB rational string is echoed in a bounded form, not in full
     doc = _put(POINTS, ["points", 0, 0], "1" * 10 ** 6 + ".5")

@@ -148,6 +148,11 @@ def test_coc_modes_agree():
 def _flipped_bracket_sign(bases, pattern, n) -> int:
     """Oracle for one table entry: the bracket walk of one flip pattern on
     its own, every slot's selection and span rebuilt from scratch."""
+    return det_sign_int(_flipped_bracket_rows(bases, pattern, n))
+
+
+def _flipped_bracket_rows(bases, pattern, n) -> list:
+    """The signed vectors that one flip pattern's bracket walk chooses."""
     span = _IntSpan()
     chosen = []
     for a, base in enumerate(bases):
@@ -159,7 +164,7 @@ def _flipped_bracket_sign(bases, pattern, n) -> int:
                 break
         else:
             raise PropertyViolation("a complete flag always extends a proper subspace")
-    return det_sign_int(chosen)
+    return chosen
 
 
 def _deleted_bases(Fs):
@@ -320,6 +325,42 @@ def test_flip_table_queries_both_signs_on_their_own(n, count, monkeypatch):
                 assert all(tuple(-x for x in iv) in seen for iv in seen)
                 deepest = max(deepest, len(seen) // 2 - 1)
     assert deepest >= 1  # some node reached a level above 0
+
+
+def _rows(rows):
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_flip_table_gives_each_leaf_its_own_rows(n, monkeypatch):
+    # every det_sign_int call gets the rows its pattern's walk chooses, in a
+    # list no later pattern writes into: the rows are snapshot at the call,
+    # and each list still equals its snapshot once the table is built.
+    # n = 2: every table of 50 pool tuples; n = 4: one pool table whose
+    # bracket selects a level above 0
+    if n == 2:
+        pool = RationalSampler(47)
+        tables = [b for _ in range(50) for b in _deleted_bases(pool.pool_flags(2, 3))]
+    else:
+        pool = RationalSampler(48)
+        tables = []
+        while not tables:
+            Fs = pool.pool_flags(4, 5)
+            tables = [b for i, b in enumerate(_deleted_bases(Fs))
+                      if max(bracket_selections(Fs[:i] + Fs[i + 1:])[1]) > 0][:1]
+    det_sign, calls = cocycles.det_sign_int, []
+
+    def snapshot(rows):
+        calls.append((rows, _rows(rows)))
+        return det_sign(rows)
+
+    monkeypatch.setattr(cocycles, "det_sign_int", snapshot)
+    for bases in tables:
+        calls.clear()
+        _flipped_bracket_table(bases, n)
+        assert all(_rows(rows) == snap for rows, snap in calls)
+        assert Counter(snap for _, snap in calls) \
+            == Counter(_rows(_flipped_bracket_rows(bases, p, n)) for p in range(1 << n * n))
 
 
 def test_naive_coc_takes_327680_determinants(monkeypatch):
